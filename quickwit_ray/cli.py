@@ -136,10 +136,11 @@ def main(argv=None) -> int:
                     help="enable POST /api/v1/indexes creation under "
                          "this directory")
     sv.add_argument("--search-execution", default="local",
-                    choices=["local", "ray", "ray-data"],
-                    help="'ray' fans every search out to a persistent "
-                         "split-affine leaf actor pool (root/leaf serving "
-                         "model); 'local' searches on in-process threads")
+                    choices=["local", "ray"],
+                    help="'local' searches every split on in-process "
+                         "threads; 'ray' fans leaf searches out to a "
+                         "persistent split-affine Ray actor pool "
+                         "(root/leaf serving model)")
     sv.add_argument("--janitor-period-secs", type=float, default=None,
                     help="run the janitor loop (retention + delete tasks "
                          "+ GC, quickwit-janitor analog) every N seconds")

@@ -613,33 +613,6 @@ def otel_traces_doc_mapping() -> DocMapping:
     )
 
 
-def otel_logs_doc_mapping() -> DocMapping:
-    """OTLP logs index mapping (quickwit-opentelemetry/src/otlp/logs.rs
-    OTEL_LOGS_INDEX_CONFIG analog)."""
-    return DocMapping(
-        field_mappings=(
-            FieldMapping(name="timestamp_nanos", type="datetime",
-                         input_formats=("unix_timestamp",), fast=True),
-            FieldMapping(name="service_name", type="text", tokenizer="raw",
-                         record="basic", fast=True, tag=True),
-            FieldMapping(name="severity_text", type="text", tokenizer="raw",
-                         fast=True),
-            FieldMapping(name="severity_number", type="i64", fast=True),
-            FieldMapping(name="body", type="text", record="position",
-                         fieldnorms=True),
-            FieldMapping(name="attributes", type="json"),
-            FieldMapping(name="resource_attributes", type="json"),
-            FieldMapping(name="trace_id", type="text", tokenizer="raw"),
-            FieldMapping(name="span_id", type="text", tokenizer="raw"),
-        ),
-        mode="dynamic",
-        timestamp_field="timestamp_nanos",
-        tag_fields=("service_name",),
-        doc_id_field="body",
-        default_search_fields=("body",),
-    )
-
-
 def pages_doc_mapping() -> DocMapping:
     """Doc mapping for the canonical Common-Crawl-style ``pages`` table
     (BASELINE.json input_hint): (url, warc_ts, html, text, lang)."""

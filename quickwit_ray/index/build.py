@@ -8,7 +8,7 @@ lineage (the reference's per-source-partition checkpoint,
 `checkpoint.rs:170-188`). The pipeline is
 
     from_items(pending_partitions)
-      -> map_batches(IndexPartitionTask, batch_size=1)   # fan-out, no shuffle
+      -> map_batches(index_partition_fn, batch_size=1)   # fan-out, no shuffle
       -> driver streams manifest rows, committing each partition atomically
 
 Each task STREAMS its file through a SplitBuilder workbench
@@ -78,11 +78,12 @@ def _route_partition(batch: pa.Table, key: str, cap: int) -> np.ndarray:
 
 
 class IndexPartitionTask:
-    """Ray Data stage: one call indexes one source partition (file).
+    """One call indexes one source partition (file).
 
-    Used via map_batches(batch_size=1) over {partition_id, path} items;
-    returns the manifest rows (one per flushed split) as an Arrow-friendly
-    dict so the driver can commit them.
+    Run per partition by `index_partition_fn` (the Ray Data stage) and
+    in-process by `execution="local"`; returns the manifest rows (one per
+    flushed split) as an Arrow-friendly dict so the driver can commit
+    them.
     """
 
     def __init__(self, config_json: dict[str, Any], index_dir: str,
@@ -227,6 +228,8 @@ def build_index(inputs: str | list[str], index_dir: str, config: IndexConfig,
     """
     import json as _json
 
+    if execution not in ("local", "ray"):
+        raise ValueError(f"unknown build execution {execution!r}")
     t0 = time.time()
     paths = resolve_input(inputs)
     manifest = Manifest(index_dir)
@@ -265,18 +268,12 @@ def build_index(inputs: str | list[str], index_dir: str, config: IndexConfig,
         ds = ray.data.from_items([{"path": p} for p in pending])
         kwargs = dict(config_json=config.to_json(), index_dir=index_dir,
                       read_batch_size=read_batch_size, transform=transform)
-        if execution == "ray_actors":
-            conc = concurrency or max(
-                1, min(len(pending), int(ray.cluster_resources().get("CPU", 8))))
-            out = ds.map_batches(IndexPartitionTask, fn_constructor_kwargs=kwargs,
-                                 batch_size=1, num_cpus=1, concurrency=conc)
-        else:
-            # stateless tasks: elastic, reuse warm worker processes (no
-            # per-dataset actor cold start); the tokenizer state they need
-            # is module-level compiled regexes
-            out = ds.map_batches(index_partition_fn, fn_kwargs=kwargs,
-                                 batch_size=1, num_cpus=1,
-                                 concurrency=concurrency)
+        # stateless tasks: elastic, reuse warm worker processes (no
+        # per-dataset actor cold start); the tokenizer state they need is
+        # module-level compiled regexes
+        out = ds.map_batches(index_partition_fn, fn_kwargs=kwargs,
+                             batch_size=1, num_cpus=1,
+                             concurrency=concurrency)
         # stream results; commit completed source partitions as they land
         for b in out.iter_batches(batch_size=None, batch_format="pyarrow"):
             commit_batch(b["split_json"].to_pylist())

@@ -398,9 +398,6 @@ class _SplitPostingsStream:
             return None
         return self._last_key
 
-    def has_more_rowgroups(self) -> bool:
-        return self._pending is not None or self._next_rg < self._n_rg
-
     def take_upto(self, key: tuple[str, str]) -> Optional[pa.Table]:
         """Consume and return the buffered rows with (field, term) <= key."""
         if self._buf is None:

@@ -1,14 +1,24 @@
-"""Native REST API — index + source management and native search.
+"""Native REST API — the one router for everything under /api/v1.
 
 Re-expresses the reference's non-ES REST surface
 (`quickwit-serve/src/index_api/rest_handler.rs`: GET/POST /indexes,
 GET/PUT/DELETE /indexes/{id}, PUT /indexes/{id}/clear, GET .../describe,
-source CRUD + toggle + reset-checkpoint; and
-`quickwit-serve/src/search_api/rest_handler.rs`: GET {index}/search with
-query/max_hits/start_offset/sort_by/timestamps) over the same registry of
-:class:`Index` objects the ES dispatcher serves. The two services SHARE
-the registry dict, so an index created here is immediately searchable via
-the ES endpoints too.
+source CRUD + toggle + reset-checkpoint; `template_api/rest_handler.rs`
+index templates; `search_api/rest_handler.rs`: GET {index}/search with
+query/max_hits/start_offset/sort_by/timestamps/snippet_fields, plus
+search/stream and search-plan; OTLP, Jaeger, delete-task, node and
+developer endpoints). ES-shaped endpoints (`_bulk`, `{index}/_search`,
+`_msearch`, ...) fall through to an embedded :class:`EsRestService` over
+the SAME live registry — one service serves both API roots, like the
+reference's single server mounting /api/v1 and /api/v1/_elastic, so an
+index created here is immediately ES-searchable.
+
+The same (method, endpoint, params, body, ndjson) -> (status, payload)
+contract drives the HTTP server and the offline replay of the
+reference's rest-api-tests native suites. Indexes are created on demand
+under a root directory from the PUBLIC index-config JSON
+(`config.index_config_from_api_json`); invalid configs surface as HTTP
+400 exactly where the reference's serde / validation layer rejects them.
 """
 
 from __future__ import annotations
@@ -19,7 +29,20 @@ import shutil
 from typing import Any, Optional
 
 from quickwit_ray.api import Index
-from quickwit_ray.search.es_rest import EsApiError, _hit_source
+from quickwit_ray.config import (
+    IndexConfig,
+    index_config_from_api_json,
+    validate_identifier,
+    validate_index_id_pattern,
+)
+from quickwit_ray.search.es_rest import (
+    EsApiError,
+    EsRestService,
+    _clean_scalar,
+    _hit_source,
+    normalize_endpoint,
+    run_mapped,
+)
 from quickwit_ray.state.manifest import Manifest
 
 
@@ -62,47 +85,51 @@ class RawResponse:
 
 
 class IndexApiService:
-    """Routes (method, endpoint, params, body) for the native API.
+    """Routes (method, endpoint, params, body, ndjson) for the native API.
 
-    ``indexes`` is the SHARED registry (pass the EsRestService's dict,
-    not a copy). ``index_root_dir`` is where POST /indexes materializes
-    new index directories (default_index_root_uri analog); creation is
-    rejected when unset.
+    ``indexes`` is the live registry, shared (not copied) with the
+    embedded ES dispatcher ``es``. ``index_root_dir`` is where POST
+    /indexes and template auto-creation materialize new index
+    directories (default_index_root_uri analog); creation is rejected
+    when unset.
     """
 
     def __init__(self, indexes: dict[str, Index],
                  index_root_dir: Optional[str] = None):
         self.indexes = indexes
         self.index_root_dir = index_root_dir
+        if index_root_dir is not None:
+            os.makedirs(index_root_dir, exist_ok=True)
+        self.es = EsRestService({})
+        self.es.indexes = self.indexes  # shared live registry
+        self.es.index_factory = self._auto_create
+        # index templates (index_template.rs): pattern-matched configs
+        # that auto-create an index on first ingest to a matching name
+        self.templates: dict[str, dict] = {}
 
     # -- entry ------------------------------------------------------------
 
     def request(self, method: str, endpoint: str,
-                params: Optional[dict] = None,
-                body: Any = None) -> tuple[int, Any]:
-        try:
-            return 200, self._route(method.upper(), endpoint.strip("/"),
-                                    dict(params or {}), body)
-        except EsApiError as e:
-            return e.status, e.body()
-        except (ValueError, KeyError, TypeError) as e:
-            # NOTE: AttributeError/IndexError deliberately NOT caught —
-            # the parse-boundary wrappers (es_dsl, body validation)
-            # already convert parse-shaped failures to ValueError, so
-            # those escaping here are internal bugs that must reach the
-            # server's last-resort 500, not masquerade as client 400s.
-            # malformed request shapes (non-dict bodies, lists where
-            # objects are required) are client errors: 400, never 500
-            return 400, {"status": 400,
-                         "error": {"reason": f"Invalid argument: {e}"}}
-
-    def handles(self, endpoint: str) -> bool:
-        parts = endpoint.strip("/").split("/")
-        return (parts[0] in ("indexes", "otlp", "version", "cluster",
-                             "health", "metrics", "developer")
-                or (len(parts) >= 2 and parts[1] in ("search", "search-plan",
-                                                     "otlp", "jaeger",
-                                                     "delete-tasks")))
+                params: Optional[dict] = None, body: Any = None,
+                ndjson: Optional[list] = None) -> tuple[int, Any]:
+        endpoint, params = normalize_endpoint(endpoint, params)
+        if endpoint.startswith("api/developer/"):
+            # the reference mounts the developer API at /api/developer,
+            # OUTSIDE the /api/v1 prefix (developer_api/mod.rs)
+            endpoint = endpoint[len("api/"):]
+        parts = endpoint.split("/")
+        if (endpoint == "" or parts[0].startswith("_")
+                or (len(parts) >= 2 and parts[1].startswith("_"))
+                or (method.upper() == "DELETE" and len(parts) == 1
+                    and parts[0] not in ("indexes", "templates"))):
+            # ES-shaped endpoint -> the embedded ES dispatcher (its own
+            # error-body format)
+            return self.es.request(method, endpoint, params, body, ndjson)
+        # the native REST error body is {"message": ...} (quickwit-serve
+        # rest error format)
+        return run_mapped(lambda: self._route(method.upper(), endpoint,
+                                              params, body, ndjson),
+                          lambda e: {"message": e.reason})
 
     @staticmethod
     def wants_raw_body(endpoint: str) -> bool:
@@ -115,12 +142,17 @@ class IndexApiService:
     # -- routing ----------------------------------------------------------
 
     def _route(self, method: str, endpoint: str, params: dict,
-               body: Any) -> Any:
+               body: Any, ndjson: Optional[list]) -> Any:
         parts = endpoint.split("/")
         if parts[0] == "indexes":
             return self._route_indexes(method, parts[1:], params, body)
+        if parts[0] == "templates":
+            return self._route_templates(method, parts[1:], body)
+        if len(parts) == 2 and parts[1] == "ingest" and method == "POST":
+            return self._ingest(parts[0], ndjson or [])
         if len(parts) == 2 and parts[1] == "search":
-            return self._search(parts[0], params, body or {})
+            return self._search(parts[0], params,
+                                body if isinstance(body, dict) else {})
         if len(parts) == 3 and parts[1:] == ["search", "stream"]:
             return self._search_stream(parts[0], params)
         if len(parts) == 2 and parts[1] == "search-plan":
@@ -171,7 +203,7 @@ class IndexApiService:
         elif len(parts) == 1:
             name = parts[0]
             if method == "GET":
-                return self._metadata(self._name(name))
+                return self._metadata(name)
             if method == "PUT":
                 idx = self._idx(name)
                 idx.update_config(api_json=body or {})
@@ -179,8 +211,9 @@ class IndexApiService:
             if method == "DELETE":
                 return self._delete(name)
         elif len(parts) == 2 and parts[1] == "clear" and method == "PUT":
-            self._idx(parts[0]).clear()
-            return {"acknowledged": True}
+            # drop splits + checkpoints, keep the config
+            n = self._idx(parts[0]).clear()
+            return {"acknowledged": True, "num_splits_dropped": n}
         elif len(parts) == 2 and parts[1] == "describe" and method == "GET":
             return self._idx(parts[0]).describe()
         elif len(parts) >= 2 and parts[1] == "sources":
@@ -223,27 +256,23 @@ class IndexApiService:
 
     # -- handlers ----------------------------------------------------------
 
-    def _name(self, name: str) -> str:
-        if name not in self.indexes:
-            raise EsApiError(404, f"index not found: {name}",
-                             type="index_not_found_exception")
-        return name
-
     def _idx(self, name: str) -> Index:
-        return self.indexes[self._name(name)]
+        idx = self.indexes.get(name)
+        if idx is None:
+            raise EsApiError(404, f"index not found: {name}")
+        return idx
 
     def _metadata(self, name: str) -> dict:
-        m = Manifest(self.indexes[name].index_dir)
+        m = Manifest(self._idx(name).index_dir)
         return {
             "version": "0.8",
-            "index_config": m.index_config_json,
+            "index_config": IndexConfig.from_json(
+                m.index_config_json).to_json(),
             "checkpoint": m.checkpoints,
             "sources": list(m.sources.values()),
         }
 
     def _create(self, payload: dict) -> dict:
-        from quickwit_ray.config import index_config_from_api_json
-
         if self.index_root_dir is None:
             raise EsApiError(400, "index creation is disabled: the server "
                              "was started without an index root dir")
@@ -255,13 +284,125 @@ class IndexApiService:
             raise EsApiError(400, f"index {cfg.index_id!r} already exists")
         d = os.path.join(self.index_root_dir, cfg.index_id)
         _assert_under_root(d, self.index_root_dir)
-        idx = Index.create(d, cfg.index_id, cfg.doc_mapping,
-                           settings=cfg.settings)
-        self.indexes[cfg.index_id] = idx
+        try:
+            # NEVER clobber an on-disk index that merely isn't registered
+            # (e.g. after a server restart): Index.create refuses
+            self.indexes[cfg.index_id] = Index.create(
+                d, cfg.index_id, cfg.doc_mapping, settings=cfg.settings)
+        except FileExistsError:
+            raise EsApiError(
+                400, f"index {cfg.index_id!r} already exists on disk at "
+                f"{d} — open/serve it or DELETE it first")
         return self._metadata(cfg.index_id)
 
+    # -- index templates ----------------------------------------------------
+
+    def _route_templates(self, method: str, parts: list[str],
+                         body: Any) -> Any:
+        if method == "GET" and not parts:
+            # list_index_templates (template_api/rest_handler.rs)
+            return sorted(self.templates.values(),
+                          key=lambda t: t["template_id"])
+        if method == "POST" and not parts:
+            tpl = self._validate_template(body or {})
+            if tpl["template_id"] in self.templates:
+                raise EsApiError(
+                    400, f"index template {tpl['template_id']!r} "
+                    "already exists")
+            self.templates[tpl["template_id"]] = tpl
+            return tpl
+        if method == "PUT" and len(parts) == 1:
+            # update_index_template: the path id OVERRIDES any id in the
+            # body, then create-with-overwrite
+            # (template_api/rest_handler.rs update_index_template)
+            tpl = self._validate_template(
+                dict(body or {}, template_id=parts[0]))
+            self.templates[tpl["template_id"]] = tpl
+            return tpl
+        if method == "DELETE" and len(parts) == 1:
+            if self.templates.pop(parts[0], None) is None:
+                raise EsApiError(404, f"template not found: {parts[0]}")
+            return {"acknowledged": True}
+        if method == "GET" and len(parts) == 1:
+            t = self.templates.get(parts[0])
+            if t is None:
+                raise EsApiError(404, f"template not found: {parts[0]}")
+            return t
+        raise EsApiError(
+            400, f"unsupported endpoint {'/'.join(['templates', *parts])!r}")
+
+    def _auto_create(self, name: str) -> Optional[Index]:
+        """Index-template auto-creation hook for `_bulk` to an unknown
+        index: the first template whose pattern matches the name creates
+        it with the template's doc mapping. An index already ON DISK at
+        the target path (unregistered after a restart) is opened, never
+        clobbered."""
+        if self.index_root_dir is None:
+            return None  # creation disabled: no index root dir configured
+        try:
+            validate_identifier("index", name)
+        except ValueError:
+            return None  # traversal-shaped names never auto-create
+        tpl = self._find_matching_template(name)
+        if tpl is not None:
+            cfg = index_config_from_api_json(
+                {"index_id": name,
+                 "doc_mapping": tpl.get("doc_mapping") or {},
+                 "indexing_settings": tpl.get("indexing_settings"),
+                 "retention": tpl.get("retention"),
+                 "search_settings": tpl.get("search_settings")})
+            d = os.path.join(self.index_root_dir, name)
+            try:
+                return Index.create(d, name, cfg.doc_mapping,
+                                    settings=cfg.settings)
+            except FileExistsError:
+                return Index.open(d)
+        return None
+
+    def _validate_template(self, body: dict) -> dict:
+        """IndexTemplate.validate (index_template/mod.rs:81-99):
+        identifier-checked template_id, >= 1 pattern, every pattern
+        validated with negatives allowed; priority defaults to 0."""
+        tpl = dict(body)
+        try:
+            validate_identifier("template", tpl.get("template_id"))
+            patterns = tpl.get("index_id_patterns") or []
+            if not isinstance(patterns, (list, tuple)) or not patterns:
+                raise ValueError("`index_id_patterns` must not be empty")
+            for p in patterns:
+                validate_index_id_pattern(p, allow_negative=True)
+            prio = tpl.setdefault("priority", 0)
+            if not isinstance(prio, int) or prio < 0:
+                raise ValueError("`priority` must be a non-negative "
+                                 "integer")
+        except ValueError as e:
+            raise EsApiError(400, f"invalid index template: {e}")
+        return tpl
+
+    def _find_matching_template(self, name: str) -> Optional[dict]:
+        """First match by (-priority, template_id) order; a template
+        matches when any positive pattern matches AND no negative
+        (``-``-prefixed) pattern does (file_backed/index_template_matcher
+        .rs + index_id_matcher.rs is_match)."""
+        import fnmatch
+
+        for tpl in sorted(self.templates.values(),
+                          key=lambda t: (-t.get("priority", 0),
+                                         t.get("template_id", ""))):
+            pats = tpl.get("index_id_patterns", ())
+            pos = [p for p in pats if not p.startswith("-")]
+            neg = [p[1:] for p in pats if p.startswith("-")]
+            if (any(fnmatch.fnmatchcase(name, p) for p in pos)
+                    and not any(fnmatch.fnmatchcase(name, p)
+                                for p in neg)):
+                return tpl
+        return None
+
+    # -- index lifecycle ----------------------------------------------------
+
     def _delete(self, name: str) -> dict:
-        idx = self.indexes.pop(self._name(name))
+        idx = self._idx(name)
+        del self.indexes[name]
         # never rmtree a directory that is not actually an index root
         # (metastore presence == index exists; manifest.json for the file
         # backend, metastore.db/json for the sqlite/postgres backends); a
@@ -535,34 +676,68 @@ class IndexApiService:
         return StreamingResponse(
             gen, "application/octet-stream" if binary else "text/csv")
 
+    # -- ingest + search ----------------------------------------------------
+
+    def _ingest(self, name: str, docs: list) -> dict:
+        idx = self._idx(name)
+        ts_field = idx.config.doc_mapping.timestamp_field
+        valid = []
+        rejected = 0
+        for d in docs:
+            if not isinstance(d, dict):
+                rejected += 1
+                continue
+            # the doc processor rejects docs missing the timestamp field
+            # (doc_processor.rs: a time-series index needs every doc on
+            # the time axis for split pruning)
+            if ts_field and d.get(ts_field) is None:
+                rejected += 1
+                continue
+            valid.append(d)
+        if valid:
+            idx.ingest_docs(valid)
+        return {"num_docs_for_processing": len(docs),
+                "num_rejected_docs": rejected}
+
     def _search(self, name: str, params: dict, body: dict) -> dict:
         """Native search endpoint (search_api/rest_handler.rs
         SearchRequestQueryString -> SearchResponseRest). GET query params
-        or an equivalent JSON body."""
+        or an equivalent JSON body; params win."""
         idx = self._idx(name)
         p = {**body, **params}
-        sort_by = p.get("sort_by") or p.get("sort_by_field")
-        kw: dict[str, Any] = {
-            "max_hits": int(p.get("max_hits", 20)),
-            "start_offset": int(p.get("start_offset", 0)),
-        }
-        if sort_by:
-            kw["sort_by"] = [s for s in str(sort_by).split(",") if s]
+
+        def csv(v) -> list[str]:
+            return [s.strip() for s in str(v).split(",") if s.strip()]
+
+        mh = p.get("max_hits")
+        kw: dict[str, Any] = {"max_hits": 20 if mh is None else int(mh)}
+        if p.get("start_offset") is not None:
+            kw["start_offset"] = int(p["start_offset"])
+        # the public API takes unix SECONDS; fast columns hold micros
         for t in ("start_timestamp", "end_timestamp"):
             if p.get(t) is not None:
-                kw[t] = int(p[t])
+                kw[t] = int(p[t]) * 1_000_000
+        sort_by = p.get("sort_by") or p.get("sort_by_field")
+        if sort_by:
+            # "+field,-other" strings; engine._normalize_sort handles the
+            # +/- prefixes with the reference's default (bare = desc)
+            kw["sort_by"] = csv(sort_by)
+        snippet_cols = []
         if p.get("snippet_fields"):
-            kw["snippet_fields"] = tuple(str(p["snippet_fields"]).split(","))
+            kw["snippet_fields"] = tuple(csv(p["snippet_fields"]))
+            snippet_cols = [f"snippet_{f}" for f in kw["snippet_fields"]]
         resp = idx.search(p.get("query", "*"), **kw)
         mapping = idx.config.doc_mapping
-        hits = [_hit_source(row, mapping)
-                for row in resp.hits.to_dict("records")]
-        out = {
+        hits = []
+        for row in resp.hits.to_dict("records"):
+            hit = {k: _clean_scalar(v)
+                   for k, v in _hit_source(row, mapping).items()}
+            # a stored `_source` does not carry the snippet columns
+            hit.update((c, row[c]) for c in snippet_cols if c in row)
+            hits.append(hit)
+        return {
             "num_hits": int(resp.num_hits),
             "hits": hits,
             "elapsed_time_micros": int(resp.elapsed_sec * 1e6),
             "errors": [str(f) for f in resp.failed_splits],
         }
-        if resp.aggs is not None:
-            out["aggregations"] = resp.aggs
-        return out

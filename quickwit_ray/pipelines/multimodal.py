@@ -225,29 +225,6 @@ class DecodeImageStage:
                    .append_column("pixel_mean", pa.array(means, pa.float64())))
 
 
-class FrameSampleStage:
-    """Video frame-sampling stage stub: binary 'video' column -> one row
-    per sampled frame index (real plumbing; ffmpeg kernel stubbed)."""
-
-    def __init__(self, video_col: str = "video", every_n: int = 10, fake: bool = False):
-        self.video_col = video_col
-        self.every_n = every_n
-        if not fake:
-            raise NotImplementedError(
-                "video decode requires ffmpeg; construct with fake=True")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, frames = [], []
-        id_col = batch.column_names[0]
-        for rid, buf in zip(batch[id_col].to_pylist(),
-                            batch[self.video_col].to_pylist()):
-            n_frames = (len(buf) // 1000) if buf else 0  # fake: 1 frame / KB
-            for f in range(0, n_frames, self.every_n):
-                ids.append(rid)
-                frames.append(f)
-        return pa.table({id_col: pa.array(ids), "frame_index": pa.array(frames, pa.int32())})
-
-
 def decode_images(ds, image_col: str = "image", fake: bool = True,
                   resize_to=None, concurrency: int = 4, batch_size: int = 64,
                   strict: bool = False):

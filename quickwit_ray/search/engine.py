@@ -5,11 +5,11 @@
      root.rs:1108-1154)
   2. count-only fast path answered from manifest num_docs sums
      (root.rs:638-695)
-  3. fan out per-split leaf search: `from_items(split_jobs)` ->
-     `map_batches(SearchSplitStage actor pool)` -> per-split top-k partial
-     hits (an actor holds an LRU of open SplitReaders — the searcher's
-     split/footer cache, node_config/mod.rs:206-278). A local in-process
-     executor covers low-latency / test paths.
+  3. fan out per-split leaf search -> per-split top-k partial hits:
+     `execution="local"` on the process-wide leaf thread pool,
+     `execution="ray"` on the persistent split-affine actor pool (each
+     actor holds an LRU of open SplitReaders — the searcher's
+     split/footer cache, node_config/mod.rs:206-278).
   4. driver merges partial hits with the reference comparator (sort keys
      in sort direction, trailing (split_id, doc_id) tie-break compared in
      the same direction, `collector.rs:834-991`)
@@ -318,9 +318,13 @@ _SEARCHER_CACHE_CAP = 64
 _DEFAULT_EXECUTION = "local"
 
 
-def set_default_search_execution(mode: str) -> None:
-    if mode not in ("local", "ray", "ray-data"):
+def _check_execution(mode: str) -> None:
+    if mode not in ("local", "ray"):
         raise ValueError(f"unknown search execution {mode!r}")
+
+
+def set_default_search_execution(mode: str) -> None:
+    _check_execution(mode)
     global _DEFAULT_EXECUTION
     _DEFAULT_EXECUTION = mode
 
@@ -330,16 +334,16 @@ def get_searcher(index_dir: str, execution: Optional[str] = None) -> "IndexSearc
     a fresh ``IndexSearcher`` re-reads the whole manifest (O(state) at
     10^5+ splits), which is wasteful once per HTTP request. The stamp
     preserves read-your-writes: any file-backend manifest mutation
-    touches a stamped file and rebuilds the searcher. SQL-backed indexes
-    and "ray-data" executions construct fresh (no reliable stamp / batch
-    one-shot semantics); "ray" searchers ARE cached, and the leaf actor
-    pool is process-global + mapping-agnostic, so leaf actors (and their
+    touches a stamped file and rebuilds the searcher. SQL- and
+    object-backed indexes construct fresh (no reliable stamp). "local"
+    and "ray" searchers are cached alike; the "ray" leaf actor pool is
+    process-global + mapping-agnostic, so leaf actors (and their
     split-affine reader caches) survive split publishes and searcher
     rebuilds by construction."""
     if execution is None:
         execution = _DEFAULT_EXECUTION
     stamp = _manifest_stamp(index_dir)
-    if execution == "ray-data" or stamp is None:
+    if stamp is None:
         return IndexSearcher(index_dir, execution=execution)
     key = (index_dir, execution)
     with _SEARCHER_CACHE_LOCK:
@@ -564,30 +568,6 @@ def _warm_arrow() -> None:
         pass
 
 
-class SearchSplitStage:
-    """Ray Data actor-pool stage: one call = leaf searches for a batch of
-    split work items. Holds the split reader LRU across batches. Used for
-    BATCH search jobs (one-shot fan-outs over many splits)."""
-
-    def __init__(self, mapping_json: dict, request: SearchRequest, cache_size: int = 64):
-        from quickwit_ray.config import IndexConfig as _IC
-
-        self.mapping = _IC.from_json(
-            {"index_id": "x", "doc_mapping": mapping_json}).doc_mapping
-        self.request = request
-        self.cache = _ReaderCache(cache_size)
-        _warm_arrow()
-
-    def __call__(self, batch: dict[str, np.ndarray]) -> dict[str, list]:
-        import pickle
-
-        results = []
-        for split_dir in [str(p) for p in batch["split_dir"]]:
-            results.append(pickle.dumps(
-                leaf_search_one(split_dir, self.mapping, self.request, self.cache)))
-        return {"partial": results}
-
-
 class _SearchActorPool:
     """Persistent MAPPING-AGNOSTIC leaf-search actor pool — the
     reference's long-lived searcher processes with split-affinity routing
@@ -785,6 +765,7 @@ class IndexSearcher:
 
     def __init__(self, index_dir: str, execution: str = "local",
                  concurrency: Optional[int] = None):
+        _check_execution(execution)
         self.index_dir = index_dir
         self.manifest = Manifest(index_dir)
         if self.manifest.index_config_json is None:
@@ -936,8 +917,6 @@ class IndexSearcher:
             return [], 0
         if self.execution == "ray" and len(split_dirs) > 1:
             return self._execute_ray(split_dirs, request, bounds, ts_sort_dir)
-        if self.execution == "ray-data" and len(split_dirs) > 1:
-            return self._execute_ray_data(split_dirs, request), 0
         k = request.start_offset + request.max_hits
         desc = ts_sort_dir == "desc"
         score_mode = _score_theta_mode(request)
@@ -1005,35 +984,6 @@ class IndexSearcher:
         # sums / sketches in list order and must stay deterministic
         # run-to-run
         return list(_leaf_thread_pool().map(run, split_dirs))
-
-    def _execute_ray_data(self, split_dirs: list[str],
-                          request: SearchRequest) -> list[dict]:
-        """Dataset-API leaf fan-out: from_items(split jobs) ->
-        map_batches(SearchSplitStage actor pool). One-shot BATCH search
-        jobs over many splits (e.g. offline evaluation sweeps) — the
-        streaming executor schedules/pipelines the pool; the persistent
-        rendezvous-routed pool (execution="ray") stays the low-latency
-        path because it keeps reader caches split-affine across queries."""
-        import pickle
-
-        import ray
-        import ray.data
-
-        conc = self.concurrency or max(
-            1, min(len(split_dirs), int(ray.cluster_resources().get("CPU", 8))))
-        ds = ray.data.from_items([{"split_dir": d} for d in split_dirs])
-        out = ds.map_batches(
-            SearchSplitStage,
-            fn_constructor_kwargs=dict(
-                mapping_json=self.config.to_json()["doc_mapping"],
-                request=request),
-            concurrency=min(conc, len(split_dirs)), batch_size=4,
-            num_cpus=1)
-        results = []
-        for batch in out.iter_batches(batch_size=None, batch_format="pandas"):
-            for blob in batch["partial"]:
-                results.append(pickle.loads(blob))
-        return results
 
     def _execute_ray(self, split_dirs: list[str], request: SearchRequest,
                      bounds: Optional[list[tuple]] = None,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import fnmatch
 import os
 import json
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 from urllib.parse import parse_qsl, unquote
 
 import numpy as np
@@ -46,6 +46,37 @@ class EsApiError(Exception):
         err["reason"] = self.reason
         err.update(self.extra)
         return {"status": self.status, "error": err}
+
+
+def normalize_endpoint(endpoint: str,
+                       params: Optional[dict]) -> tuple[str, dict]:
+    """Unquoted, slash-stripped endpoint and a params copy with any
+    ``?query`` suffix of the endpoint folded in."""
+    params = dict(params or {})
+    endpoint = unquote(endpoint).strip("/")
+    if "?" in endpoint:
+        endpoint, qs = endpoint.split("?", 1)
+        params.update(dict(parse_qsl(qs)))
+    return endpoint, params
+
+
+def run_mapped(route: Callable[[], Any],
+               error_body: Callable[[EsApiError], Any]) -> tuple[int, Any]:
+    """``(200, route())``, or the error status with ``error_body(err)``:
+    :class:`EsApiError` keeps its status; malformed request shapes
+    (ValueError/KeyError/TypeError) are client errors, 400, never 500.
+
+    AttributeError/IndexError are deliberately NOT caught: the
+    parse-boundary wrappers (es_dsl, body validation) already convert
+    parse-shaped failures to ValueError, so those escaping here are
+    internal bugs that must reach the server's last-resort 500, not
+    masquerade as client 400s."""
+    try:
+        return 200, route()
+    except EsApiError as e:
+        return e.status, error_body(e)
+    except (ValueError, KeyError, TypeError) as e:
+        return 400, error_body(EsApiError(400, f"Invalid argument: {e}"))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +340,7 @@ class EsRestService:
         self.indexes = dict(indexes)
         # optional hook: called with an unknown index name on `_bulk`;
         # returns a freshly created Index (index-template auto-create,
-        # QwRestService wires this) or None
+        # IndexApiService wires this) or None
         self.index_factory = None
         self._scroll_owner: dict[str, str] = {}  # scroll_id -> index name
         # federated scrolls: scroll_id -> {names, kw, pos, sort_formats}.
@@ -363,26 +394,12 @@ class EsRestService:
     def request(self, method: str, endpoint: str,
                 params: Optional[dict] = None, body: Any = None,
                 ndjson: Optional[list] = None) -> tuple[int, Any]:
-        params = dict(params or {})
-        endpoint = unquote(endpoint).strip("/")
-        if "?" in endpoint:
-            endpoint, qs = endpoint.split("?", 1)
-            params.update(dict(parse_qsl(qs)))
-        try:
-            return 200, self._route(method.upper(), endpoint, params,
-                                    body, ndjson)
-        except EsApiError as e:
-            return e.status, e.body()
-        except (ValueError, KeyError, TypeError) as e:
-            # NOTE: AttributeError/IndexError deliberately NOT caught —
-            # the parse-boundary wrappers (es_dsl, body validation)
-            # already convert parse-shaped failures to ValueError, so
-            # those escaping here are internal bugs that must reach the
-            # server's last-resort 500, not masquerade as client 400s.
-            # malformed request shapes are client errors: the reference
-            # answers x_content_parse_exception-style 400s, never 500
-            return 400, {"status": 400,
-                         "error": {"reason": f"Invalid argument: {e}"}}
+        endpoint, params = normalize_endpoint(endpoint, params)
+        # the reference answers malformed request shapes with
+        # x_content_parse_exception-style 400s
+        return run_mapped(lambda: self._route(method.upper(), endpoint,
+                                              params, body, ndjson),
+                          EsApiError.body)
 
     # -- routing --------------------------------------------------------
 
@@ -725,6 +742,9 @@ class EsRestService:
         items: list[dict] = []
         errors = False
         to_ingest: dict[str, list[dict]] = {}
+        # Index.config reloads the manifest: read each target's mapping
+        # once per request, not once per doc
+        mappings: dict[str, Any] = {}
         for action, name, _id, doc in ops:
             item: dict[str, Any] = {"_index": name}
             if _id is not None:
@@ -743,7 +763,9 @@ class EsRestService:
                     "index": name}
                 items.append({action: item})
                 continue
-            err = validate_doc_fields(doc, idx.config.doc_mapping)
+            if name not in mappings:
+                mappings[name] = idx.config.doc_mapping
+            err = validate_doc_fields(doc, mappings[name])
             if err is not None:
                 errors = True
                 item["status"] = 400

@@ -35,28 +35,6 @@ from quickwit_ray.search.ast import (
 )
 
 
-def _wildcard_to_regex(pattern: str) -> str:
-    import re as _re
-
-    out = []
-    i = 0
-    while i < len(pattern):
-        ch = pattern[i]
-        if ch == "\\" and i + 1 < len(pattern):
-            # `jour\?` — escaped metachar is a literal
-            out.append(_re.escape(pattern[i + 1]))
-            i += 2
-            continue
-        if ch == "*":
-            out.append(".*")
-        elif ch == "?":
-            out.append(".")
-        else:
-            out.append(_re.escape(ch))
-        i += 1
-    return "".join(out)
-
-
 class SplitSearcher:
     """Evaluates a query AST against one open split."""
 

@@ -3,24 +3,26 @@
 The reference's primary user surface is `quickwit-serve`'s REST API
 (`quickwit-serve/src/elasticsearch_api/rest_handler.rs:71-294` mounts the
 ES-compatible API under `/api/v1/_elastic`, the native API under
-`/api/v1/{index}`). This module puts the already-complete offline
-dispatcher (`search/es_rest.EsRestService` — the object the ES
-conformance corpus replays against) behind a threaded stdlib HTTP
-server, so every endpoint the dispatcher supports is reachable with
-curl / any ES client pointed at `http://host:port/api/v1/_elastic/...`:
+`/api/v1`). This module puts the offline router
+(`index_api.IndexApiService`, which embeds the ES dispatcher
+`search/es_rest.EsRestService` — the objects the conformance corpus
+replays against) behind a threaded stdlib HTTP server, so every
+endpoint the router supports is reachable with curl / any ES client
+pointed at `http://host:port/api/v1/_elastic/...`:
 
   POST {index}/_search, _count, _msearch, _search/scroll (+ DELETE),
   POST {index}/_bulk (ndjson), {index}/ingest, GET _stats,
   _cat/indices, _field_caps.
 
 Design notes for the serving tier at scale: the handler threads share
-ONE EsRestService over ONE registry of `Index` objects, so the
-process-wide SplitReader/posting caches are shared across requests (the
-searcher-cache model, `quickwit-search/src/leaf_cache.rs` analog), and
-`IndexSearcher(execution="ray-data")` inside those indexes fans leaf
-search out over the Ray cluster — the HTTP layer itself stays a thin
-stateless shim, which is exactly what you'd replicate N times behind a
-load balancer.
+ONE router over ONE registry of `Index` objects, so the process-wide
+searcher, SplitReader and leaf caches are shared across requests (the
+searcher-cache model, `quickwit-search/src/leaf_cache.rs` analog). With
+`search_execution="ray"` the server process is the root searcher and
+leaf searches fan out to a persistent split-affine Ray actor pool; with
+"local" they run on an in-process thread pool. The HTTP layer itself
+stays a thin stateless shim, which is exactly what you'd replicate N
+times behind a load balancer.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _make_handler(qw):
             elif path.startswith(NATIVE_PREFIX):
                 path = path[len(NATIVE_PREFIX):]
             endpoint = path.strip("/")
-            if not is_es and qw.native.wants_raw_body(endpoint):
+            if not is_es and qw.wants_raw_body(endpoint):
                 # OTLP: protobuf/JSON bytes pass through unparsed — same
                 # last-resort 500 wrapper as the normal path (a crafted
                 # payload must never tear the connection)
@@ -167,7 +169,7 @@ class SearchServer:
                  janitor_period_secs: Optional[float] = None,
                  janitor_grace_secs: Optional[float] = None,
                  merge_period_secs: Optional[float] = None):
-        from quickwit_ray.search.qw_rest import QwRestService
+        from quickwit_ray.index_api import IndexApiService
 
         if search_execution is not None:
             # "ray": this server process is the reference's ROOT searcher
@@ -182,12 +184,12 @@ class SearchServer:
         self.search_execution = search_execution or "local"
 
         # ONE front (the reference's single server mounting /api/v1 and
-        # /api/v1/_elastic): QwRestService owns the live registry, embeds
-        # the ES dispatcher and the wide native surface, so an index
-        # created via POST /indexes is immediately ES-searchable
-        self.qw = QwRestService(index_root_dir, extra_indexes=indexes)
-        self.service = self.qw.es
-        self.index_service = self.qw.native
+        # /api/v1/_elastic): the native router owns the live registry
+        # (a copy: API creates/deletes never touch the caller's dict) and
+        # embeds the ES dispatcher, so an index created via POST /indexes
+        # is immediately ES-searchable
+        self.qw = IndexApiService(dict(indexes),
+                                  index_root_dir=index_root_dir)
         self._httpd = ThreadingHTTPServer(
             (host, port), _make_handler(self.qw))
         self._httpd.daemon_threads = True
@@ -199,7 +201,7 @@ class SearchServer:
         # indexes created through the API join the next cycle
         self.janitor = None
         self.merge_loop = None
-        registry = self.index_service.indexes
+        registry = self.qw.indexes
 
         def _live_index_dirs() -> list:
             # list() snapshots the dict at C speed (atomic under the
@@ -213,8 +215,7 @@ class SearchServer:
             # compaction runs distributed when the serving tier already
             # holds a Ray session (search_execution='ray'), else inline
             # on the loop thread
-            merge_exec = ("ray" if search_execution in ("ray", "ray-data")
-                          else "local")
+            merge_exec = "ray" if search_execution == "ray" else "local"
             self.merge_loop = MergeLoop(
                 _live_index_dirs, period_secs=merge_period_secs,
                 execution=merge_exec)
@@ -256,11 +257,3 @@ class SearchServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-
-def serve(indexes: dict, host: str = "127.0.0.1", port: int = 7280,
-          index_root_dir: Optional[str] = None):
-    """Blocking entry (CLI `serve`): run until interrupted. Port 7280 is
-    the reference's default REST port."""
-    srv = SearchServer(indexes, host, port, index_root_dir=index_root_dir)
-    srv.start()
-    return srv

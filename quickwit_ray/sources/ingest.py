@@ -379,10 +379,6 @@ def _pb_keyvalue(buf, _depth: int = 0) -> dict:
     return {"key": key, "value": val}
 
 
-def _pb_attr_list(bufs) -> list[dict]:
-    return [_pb_keyvalue(b) for b in bufs]
-
-
 def _pb_resource(buf) -> dict:
     out: dict = {}
     for fn, _wt, v in _pb_fields(buf):

@@ -411,16 +411,6 @@ class IngestWal:
             log.sync()
         return shard, pos
 
-    def persist_payload(self, payload: bytes | str,
-                        input_format: str = "json",
-                        shard: Optional[int] = None) -> tuple[int, int]:
-        from quickwit_ray.sources.ingest import decode_input
-
-        return self.persist(decode_input(payload, input_format), shard=shard)
-
-    def end_position(self, shard: int) -> int:
-        return self._logs[shard].end_pos()
-
     def close(self) -> None:
         for log in self._logs:
             log.close()

@@ -58,11 +58,6 @@ class SplitMetadata:
     def from_json(obj: dict[str, Any]) -> "SplitMetadata":
         return SplitMetadata(**obj)
 
-    @property
-    def is_mature(self) -> bool:
-        # maturity is decided by the merge policy; kept here for parity
-        return False
-
 
 def _atomic_write_json(path: str, obj: Any) -> None:
     d = os.path.dirname(path)
@@ -237,12 +232,6 @@ class Manifest:
         storage.write_bytes(
             self.path,
             json.dumps(self._snapshot_obj(), separators=(",", ":")).encode())
-
-    def _commit_object_locked(self) -> None:
-        """Whole-state object rewrite (clear / create) under the same
-        per-root lock as `_append`'s read-modify-write."""
-        with _object_root_write_lock(self.index_dir):
-            self._commit_object()
 
     def _load(self, shared_lock: bool = True) -> None:
         """Load snapshot + replay log. Readers hold a SHARED flock across
@@ -651,36 +640,6 @@ class Manifest:
         # at the new snapshot + empty log
         self._snap_sig = self._stat_sig(self.path)
         self._log_offset = 0
-
-    def _commit(self) -> None:
-        """Full-snapshot commit (kept for the rare whole-state rewrites)."""
-        if self._backend == "object":
-            self._commit_object_locked()
-            return
-        if self._backend in ("sqlite", "postgres"):
-            st = self._sql()
-            with st.tx() as cur:
-                for t in ("splits", "checkpoints", "delete_tasks", "shards",
-                          "sources"):
-                    st.delete_all(cur, t)
-                if self.index_config_json is not None:
-                    st.upsert(cur, "meta",
-                              ("index_config",
-                               json.dumps(self.index_config_json)))
-                for s in self.splits.values():
-                    st.upsert(cur, "splits",
-                              (s.split_id, json.dumps(s.to_json())))
-                for p, c in self.checkpoints.items():
-                    st.upsert(cur, "checkpoints", (p, json.dumps(c)))
-                for t in self.delete_tasks:
-                    st.upsert(cur, "delete_tasks",
-                              (t["opstamp"], t["query"]))
-                for sid, v in self.shards.items():
-                    st.upsert(cur, "shards", (sid, json.dumps(v)))
-                for sid, v in self.sources.items():
-                    st.upsert(cur, "sources", (sid, json.dumps(v)))
-            return
-        _atomic_write_json(self.path, self._snapshot_obj())
 
     # -- message-queue shard ownership (queue_sources/shared_state.rs) ----
 

@@ -48,8 +48,9 @@ from typing import Callable, Optional
 import pyarrow as pa
 import pyarrow.fs as pafs
 
-# scheme -> factory(authority_and_path) -> (FileSystem, fs_internal_path)
+# scheme -> factory(authority) -> (FileSystem, authority_root_in_fs)
 _FACTORIES: dict[str, Callable[[str], tuple[pafs.FileSystem, str]]] = {}
+# "scheme://authority" -> (FileSystem, authority_root_in_fs)
 _FS_CACHE: dict[str, tuple[pafs.FileSystem, str]] = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -65,8 +66,9 @@ def register_filesystem(scheme: str,
                         factory: Callable[[str], tuple[pafs.FileSystem, str]]
                         ) -> None:
     """Install a filesystem factory for a URI scheme. ``factory`` takes
-    the URI remainder (``bucket/key...``) and returns
-    ``(FileSystem, path_inside_fs)``."""
+    the URI authority (``bucket`` of ``scheme://bucket/key...``) and
+    returns ``(FileSystem, path of the authority's root inside it)``;
+    keys are appended to that root."""
     _FACTORIES[scheme] = factory
     with _CACHE_LOCK:
         for k in [k for k in _FS_CACHE if k.startswith(scheme + "://")]:
@@ -88,28 +90,32 @@ def _strip_file_scheme(path: str) -> str:
 
 
 def get_fs(path: str) -> tuple[pafs.FileSystem, str]:
-    """Resolve a path/URI to ``(FileSystem, fs_internal_path)``."""
+    """Resolve a path/URI to ``(FileSystem, fs_internal_path)``. The
+    filesystem is cached per ``scheme://authority`` together with the
+    authority's root path inside it, so every call maps a URI to the
+    same internal path."""
     path = _strip_file_scheme(path)
     if not is_object_uri(path):
         return pafs.LocalFileSystem(), path
     scheme, rest = path.split("://", 1)
-    cache_key = scheme + "://" + rest.split("/", 1)[0]
+    authority, _, key = rest.partition("/")
+    cache_key = scheme + "://" + authority
     with _CACHE_LOCK:
         hit = _FS_CACHE.get(cache_key)
-    if hit is not None:
-        fs, _ = hit
-        return fs, rest
-    if scheme in _FACTORIES:
-        fs, base = _FACTORIES[scheme](rest)
-    elif scheme == "mock-s3":
-        fs, base = _mock_s3_filesystem(), rest
-    else:
-        # s3:// and anything else pyarrow knows natively
-        fs, base = pafs.FileSystem.from_uri(path)
-        rest = base
-    with _CACHE_LOCK:
-        _FS_CACHE[cache_key] = (fs, "")
-    return fs, rest
+    if hit is None:
+        if scheme in _FACTORIES:
+            hit = _FACTORIES[scheme](authority)
+        elif scheme == "mock-s3":
+            hit = _mock_s3_filesystem(), authority
+        else:
+            # s3:// and anything else pyarrow knows natively
+            hit = pafs.FileSystem.from_uri(cache_key)
+        with _CACHE_LOCK:
+            hit = _FS_CACHE.setdefault(cache_key, hit)
+    fs, root = hit
+    if root and key and not root.endswith("/"):
+        root += "/"
+    return fs, root + key
 
 
 def join(base: str, *parts: str) -> str:
@@ -339,22 +345,6 @@ def finalize_dir(staging: str, final_dir: str) -> None:
     shutil.rmtree(staging, ignore_errors=True)
 
 
-def fetch_to_local(src: str, scratch_dir: str) -> str:
-    """Return a LOCAL path for ``src``: the path itself when local, else
-    a downloaded copy under ``scratch_dir`` (merge 'hardlink' fallback
-    on object storage — a byte copy, like the reference's merge split
-    downloader)."""
-    if not is_object_uri(src):
-        return _strip_file_scheme(src)
-    os.makedirs(scratch_dir, exist_ok=True)
-    dst = os.path.join(scratch_dir, basename(src))
-    if not os.path.exists(dst):
-        tmp = dst + f".dl.{uuid.uuid4().hex[:8]}"
-        download_file(src, tmp)
-        os.replace(tmp, dst)
-    return dst
-
-
 # ---------------------------------------------------------------------------
 # mock-s3:// — object-store semantics over a local directory (tests)
 # ---------------------------------------------------------------------------
@@ -406,8 +396,8 @@ class MockS3Handler(pafs.FileSystemHandler):
     read-amplification bench."""
 
     def __init__(self, root: str):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
+        self.root = os.path.abspath(root)
+        os.makedirs(self.root, exist_ok=True)
         self.get_count = 0
         self.put_count = 0
         self.bytes_read = 0
@@ -428,7 +418,7 @@ class MockS3Handler(pafs.FileSystemHandler):
     # -- helpers ------------------------------------------------------------
     def _local(self, path: str) -> str:
         p = os.path.normpath(os.path.join(self.root, path.strip("/")))
-        if not p.startswith(os.path.abspath(self.root)):
+        if os.path.commonpath([p, self.root]) != self.root:
             raise ValueError(f"path escapes mock-s3 root: {path!r}")
         return p
 

@@ -414,9 +414,9 @@ def test_cli_split_and_clear(tmp_path, capsys):
 
 def test_rest_clear_and_describe(tmp_path):
     """Native REST `PUT /indexes/{id}/clear` + describe/splits routes."""
-    from quickwit_ray.search.qw_rest import QwRestService
+    from quickwit_ray.index_api import IndexApiService
 
-    svc = QwRestService(str(tmp_path / "ix"))
+    svc = IndexApiService({}, index_root_dir=str(tmp_path / "ix"))
     st, _ = svc.request("POST", "indexes/", None, {
         "version": "0.8", "index_id": "c1",
         "doc_mapping": {"mode": "dynamic", "field_mappings": []}})

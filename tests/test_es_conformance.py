@@ -372,7 +372,7 @@ def test_aggregations_suite(es_service):
 
 
 # ---------------------------------------------------------------------------
-# native-API suites: setup AND scenarios replay through QwRestService
+# native-API suites: setup AND scenarios replay through IndexApiService
 # (the reference's index-management + /{index}/search handlers), so index
 # creation, validation 400s and ingest run the same path the YAML drives
 # ---------------------------------------------------------------------------
@@ -397,12 +397,12 @@ def test_multi_indices_suite(es_service, tmp_path):
     cross-index aggregations. The 104-hit step needs the 100-doc
     gharchive index in the same registry (the reference environment runs
     all suites against one cluster)."""
-    from quickwit_ray.search.qw_rest import QwRestService
+    from quickwit_ray.index_api import IndexApiService
 
     d = os.path.join(SCENARII, "es_compatibility", "multi-indices")
-    service = QwRestService(
-        str(tmp_path / "indexes"),
-        extra_indexes={"gharchive": es_service["es_compat"].indexes["gharchive"]})
+    service = IndexApiService(
+        {"gharchive": es_service["es_compat"].indexes["gharchive"]},
+        index_root_dir=str(tmp_path / "indexes"))
     failures = replay_file(service, os.path.join(d, "_setup.quickwit.yaml"))
     assert not failures, "setup: " + "\n".join(failures)
     for fname in ["0001-muti_indices_query.yaml",
@@ -416,9 +416,9 @@ def test_delete_indices_suite(tmp_path):
     """es_compatibility/0024: ES DELETE /{targets} with comma lists,
     ignore_unavailable, and 404 on concrete missing names — native
     creation + ES deletion through the combined dispatcher."""
-    from quickwit_ray.search.qw_rest import QwRestService
+    from quickwit_ray.index_api import IndexApiService
 
-    service = QwRestService(str(tmp_path / "indexes"))
+    service = IndexApiService({}, index_root_dir=str(tmp_path / "indexes"))
     failures = replay_file(service,
                            os.path.join(ES_COMPAT, "0024-delete_indices.yaml"))
     assert not failures, "\n".join(failures)
@@ -436,10 +436,10 @@ def test_search_after_edge_cases_suite(tmp_path):
     full precision (i64::MAX, 18e18-range u64), cross-type search_after
     coercion (f64 cursor on u64 column, out-of-domain saturation), and a
     dynamic column whose type differs per split (u64/f64/i64/bool)."""
-    from quickwit_ray.search.qw_rest import QwRestService
+    from quickwit_ray.index_api import IndexApiService
 
     d = os.path.join(SCENARII, "search_after")
-    service = QwRestService(str(tmp_path / "indexes"))
+    service = IndexApiService({}, index_root_dir=str(tmp_path / "indexes"))
     failures = replay_file(service, os.path.join(d, "_setup.quickwit.yaml"))
     assert not failures, "setup: " + "\n".join(failures)
     failures = replay_file(service,
@@ -453,10 +453,10 @@ def test_doc_len_suite(tmp_path):
     serialized-JSON byte length as the aggregatable `_doc_length` fast
     field (sum == 952.0 over the setup corpus), and `_doc_length` never
     appears in rendered `_source`."""
-    from quickwit_ray.search.qw_rest import QwRestService
+    from quickwit_ray.index_api import IndexApiService
 
     d = os.path.join(SCENARII, "aggregations")
-    service = QwRestService(str(tmp_path / "indexes"))
+    service = IndexApiService({}, index_root_dir=str(tmp_path / "indexes"))
     failures = replay_file(service, os.path.join(d, "_setup.quickwit.yaml"))
     assert not failures, "setup: " + "\n".join(failures)
     failures = replay_file(service, os.path.join(d, "0002-doc-len.yaml"),
@@ -471,10 +471,10 @@ def test_field_capabilities_suite(tmp_path):
     searchable-but-not-aggregatable for ints coerced into a double
     column), `fields=` wildcards, index-wildcard targets with per-entry
     `indices` attribution, 404 for missing exact names."""
-    from quickwit_ray.search.qw_rest import QwRestService
+    from quickwit_ray.index_api import IndexApiService
 
     d = os.path.join(SCENARII, "es_field_capabilities")
-    service = QwRestService(str(tmp_path / "indexes"))
+    service = IndexApiService({}, index_root_dir=str(tmp_path / "indexes"))
     failures = replay_file(service, os.path.join(d, "_setup.quickwit.yaml"))
     assert not failures, "setup: " + "\n".join(failures)
     failures = replay_file(service,
@@ -487,10 +487,10 @@ def test_bulk_suite(tmp_path):
     document_parsing_exception / 404 index_not_found_exception),
     request-level malformed-action and index-missing 400s, PUT support,
     and index-template auto-creation on first ingest."""
-    from quickwit_ray.search.qw_rest import QwRestService
+    from quickwit_ray.index_api import IndexApiService
 
     d = os.path.join(SCENARII, "es_compatibility", "bulk")
-    service = QwRestService(str(tmp_path / "indexes"))
+    service = IndexApiService({}, index_root_dir=str(tmp_path / "indexes"))
     failures = replay_file(service, os.path.join(d, "_setup.quickwit.yaml"))
     assert not failures, "setup: " + "\n".join(failures)
     for fname in ["0001-happy-path.yaml", "0002-malformed-action.yaml",
@@ -505,9 +505,9 @@ def test_bulk_suite(tmp_path):
 
 @pytest.mark.parametrize("suite", sorted(NATIVE_SUITES))
 def test_native_api_suite(suite, tmp_path):
-    from quickwit_ray.search.qw_rest import QwRestService
+    from quickwit_ray.index_api import IndexApiService
 
-    service = QwRestService(str(tmp_path / "indexes"))
+    service = IndexApiService({}, index_root_dir=str(tmp_path / "indexes"))
     setup = os.path.join(SCENARII, suite, "_setup.quickwit.yaml")
     failures = replay_file(service, setup)
     assert not failures, "setup: " + "\n".join(failures)

@@ -402,19 +402,19 @@ def test_recreate_after_restart_never_clobbers(tmp_path):
     """Review regression: POST /indexes for an index that exists ON DISK
     but not in the (restarted) registry must 400, not rmtree the data;
     template auto-create opens such an index instead of recreating it."""
-    from quickwit_ray.search.qw_rest import QwRestService
+    from quickwit_ray.index_api import IndexApiService
 
     root = str(tmp_path / "root")
     payload = {"version": "0.8", "index_id": "persist",
                "doc_mapping": {"field_mappings": [
                    {"name": "msg", "type": "text"}], "mode": "dynamic"}}
-    svc1 = QwRestService(root)
+    svc1 = IndexApiService({}, index_root_dir=root)
     st, _ = svc1.request("POST", "indexes", body=payload)
     assert st == 200
     svc1.indexes["persist"].ingest_docs([{"msg": "precious data"}],
                                         commit_id="a")
     # restart: fresh registry over the same root
-    svc2 = QwRestService(root)
+    svc2 = IndexApiService({}, index_root_dir=root)
     st, err = svc2.request("POST", "indexes", body=payload)
     assert st == 400 and "exists" in err["message"]
     assert Index.open(f"{root}/persist").search(
@@ -429,7 +429,7 @@ def test_recreate_after_restart_never_clobbers(tmp_path):
     assert Index.open(f"{root}/persist").search(
         "msg:precious", max_hits=5).num_hits == 1  # survived
     # auto-create with no root dir configured: no crash, clean 404
-    svc3 = QwRestService(None)
+    svc3 = IndexApiService({})
     svc3.templates["t"] = {"index_id_patterns": ["anything-*"],
                            "doc_mapping": payload["doc_mapping"]}
     st, out3 = svc3.request("POST", "anything-1/_bulk", body=None,
@@ -445,11 +445,11 @@ def test_template_matching_and_crud(tmp_path):
     template-id ordering picks the match; `-`-prefixed patterns
     exclude; patterns are validated (`**`, short literals, charset);
     GET lists, PUT upserts with the path id, POST refuses overwrite."""
-    from quickwit_ray.search.qw_rest import QwRestService
+    from quickwit_ray.index_api import IndexApiService
 
     dm = {"field_mappings": [{"name": "msg", "type": "text"}],
           "mode": "dynamic"}
-    svc = QwRestService(str(tmp_path / "root"))
+    svc = IndexApiService({}, index_root_dir=str(tmp_path / "root"))
 
     def post(tpl):
         return svc.request("POST", "templates", body=tpl)
@@ -556,9 +556,9 @@ def test_developer_api(tmp_path):
     outside the /api/v1 prefix."""
     import logging
 
-    from quickwit_ray.search.qw_rest import QwRestService
+    from quickwit_ray.index_api import IndexApiService
 
-    svc = QwRestService(str(tmp_path / "root"))
+    svc = IndexApiService({}, index_root_dir=str(tmp_path / "root"))
     svc.request("POST", "indexes", body={
         "version": "0.8", "index_id": "dbg",
         "doc_mapping": {"field_mappings": [
@@ -589,3 +589,73 @@ def test_developer_api(tmp_path):
         st, out = _http("GET",
                         f"http://127.0.0.1:{srv.port}/api/developer/debug")
         assert st == 200 and out["node_id"] == "node-1"
+
+
+def test_native_search_snippets_errors_and_seconds_window_over_http(tmp_path):
+    """GET {index}/search over HTTP honours snippet_fields, lists a split
+    whose files vanished after publish in `errors`, and reads
+    start/end_timestamp as unix seconds."""
+    import shutil
+
+    from quickwit_ray.config import index_config_from_api_json
+    from quickwit_ray.state.manifest import Manifest
+
+    cfg = index_config_from_api_json({
+        "version": "0.8", "index_id": "win",
+        "doc_mapping": {"field_mappings": [
+            {"name": "msg", "type": "text"},
+            {"name": "ts", "type": "datetime", "fast": True}],
+            "timestamp_field": "ts", "mode": "dynamic"}})
+    idx = Index.create(str(tmp_path / "win"), "win", cfg.doc_mapping)
+    t0 = 1_700_000_000
+    idx.ingest_docs([{"msg": "disk failing early", "ts": t0}], commit_id="a")
+    idx.ingest_docs([{"msg": "disk failing late", "ts": t0 + 5000}],
+                    commit_id="b")
+    idx.ingest_docs([{"msg": "disk gone", "ts": t0 + 9000}], commit_id="c")
+    lost = next(s.split_id
+                for s in Manifest(idx.index_dir).published_splits()
+                if s.time_range_start == (t0 + 9000) * 1_000_000)
+    shutil.rmtree(tmp_path / "win" / "splits" / lost)
+    with SearchServer({"win": idx}) as srv:
+        base = f"http://127.0.0.1:{srv.port}/api/v1/win/search"
+        st, r = _http("GET", f"{base}?query=msg:disk&snippet_fields=msg"
+                      f"&start_timestamp={t0 + 1000}"
+                      f"&end_timestamp={t0 + 6000}")
+        assert st == 200 and r["num_hits"] == 1
+        assert r["hits"][0]["msg"] == "disk failing late"
+        assert "disk" in r["hits"][0]["snippet_msg"]
+        st, r = _http("GET", f"{base}?query=msg:disk")
+        assert st == 200 and r["num_hits"] == 2
+        assert len(r["errors"]) == 1 and lost in r["errors"][0]
+
+
+def test_bulk_reads_each_index_config_once(tmp_path, monkeypatch):
+    """`_bulk` reads each target index's config once per request: the
+    manifest loads it causes do not grow with the number of docs."""
+    from quickwit_ray.state import manifest
+
+    svc = IndexApiService({}, index_root_dir=str(tmp_path / "root"))
+    st, _ = svc.request("POST", "indexes", body={
+        "version": "0.8", "index_id": "bulky",
+        "doc_mapping": {"field_mappings": [
+            {"name": "msg", "type": "text"}], "mode": "dynamic"}})
+    assert st == 200
+    loads = [0]
+    init = manifest.Manifest.__init__
+
+    def counting_init(self, *a, **k):
+        loads[0] += 1
+        init(self, *a, **k)
+
+    monkeypatch.setattr(manifest.Manifest, "__init__", counting_init)
+
+    def bulk_loads(n: int) -> int:
+        loads[0] = 0
+        lines = []
+        for i in range(n):
+            lines += [{"create": {"_index": "bulky"}}, {"msg": f"doc {i}"}]
+        st, out = svc.request("POST", "_bulk", ndjson=lines)
+        assert st == 200 and out["errors"] is False
+        return loads[0]
+
+    assert bulk_loads(100) == bulk_loads(10)

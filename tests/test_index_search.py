@@ -654,25 +654,3 @@ def test_slop_semantics_goldens(tmp_path):
                  fetch_fields=["doc_id"])
     got = [int(x) for x in r.hits["doc_id"]]
     assert got.index(3) < got.index(4)
-
-
-def test_ray_data_execution_mode(tmp_path, ray_session):
-    """execution='ray-data': the Dataset-API leaf fan-out
-    (from_items -> map_batches(SearchSplitStage actor pool)) returns the
-    same results as the in-process path."""
-    cfg = IndexConfig("documents", documents_doc_mapping(),
-                      IndexSettings(split_num_docs_target=10_000,
-                                    commit_docs_threshold=100))
-    d = str(tmp_path / "idx")
-    build_index(DOCS, d, cfg, execution="local", read_batch_size=100)
-    s_local = IndexSearcher(d)
-    s_rd = IndexSearcher(d, execution="ray-data", concurrency=2)
-    for q in ["text:scan", "text:scan OR text:merge", "lang: IN [de fr]"]:
-        a = s_local.search(q, max_hits=50, sort_by="n_chars", fetch_fields=[])
-        b = s_rd.search(q, max_hits=50, sort_by="n_chars", fetch_fields=[])
-        assert a.num_hits == b.num_hits, q
-        assert list(a.hits["_doc_id"]) == list(b.hits["_doc_id"]), q
-    r = s_rd.search("*", max_hits=0, aggs={
-        "langs": {"terms": {"field": "lang", "size": 20}}})
-    assert r.aggs == s_local.search("*", max_hits=0, aggs={
-        "langs": {"terms": {"field": "lang", "size": 20}}}).aggs

@@ -78,6 +78,42 @@ def test_mock_s3_enforces_object_store_semantics(obj_root):
     assert storage.read_bytes(q) == b"half"
 
 
+def test_mock_s3_keys_cannot_escape_root(tmp_path, monkeypatch):
+    """A key may not reach a sibling dir whose name merely starts with
+    the root's name, and a relative root still serves every access."""
+    import pyarrow.fs as pafs
+
+    root = tmp_path / "mockroot"
+    (tmp_path / "mockroot_evil").mkdir()
+    (tmp_path / "mockroot_evil" / "x").write_bytes(b"secret")
+    fs = pafs.PyFileSystem(storage.MockS3Handler(str(root)))
+    with pytest.raises(ValueError, match="escapes"):
+        fs.open_input_stream("../mockroot_evil/x")
+    monkeypatch.chdir(tmp_path)
+    rel = pafs.PyFileSystem(storage.MockS3Handler("relroot"))
+    with rel.open_output_stream("bucket/k") as out:
+        out.write(b"payload")
+    assert rel.open_input_stream("bucket/k").read() == b"payload"
+    assert (tmp_path / "relroot" / "bucket" / "k").read_bytes() == b"payload"
+
+
+def test_get_fs_same_path_on_first_call_and_cache_hit(monkeypatch):
+    """The authority's root path is cached with its filesystem, so the
+    first call and a cache hit map one URI to the same internal path —
+    for a registered factory and for a pyarrow `from_uri` scheme alike
+    (both strip the authority here)."""
+    import pyarrow.fs as pafs
+
+    monkeypatch.setattr(storage, "_FACTORIES", {})
+    monkeypatch.setattr(storage, "_FS_CACHE", {})
+    storage.register_filesystem(
+        "stripfs", lambda authority: (pafs.LocalFileSystem(), ""))
+    for uri in ("stripfs://bucket/a/b", "mock://bucket/a/b"):
+        first = storage.get_fs(uri)[1]
+        again = storage.get_fs(uri)[1]
+        assert first == again == "a/b", uri
+
+
 def test_local_paths_keep_plain_os_fast_path(tmp_path):
     p = str(tmp_path / "x.bin")
     assert not storage.is_object_uri(p)
