@@ -16,7 +16,8 @@ from quickwit_ray.state.manifest import Manifest
 
 
 class Index:
-    """One index rooted at a directory (metastore = manifest.json)."""
+    """One index rooted at a directory; its metastore (file log, object
+    snapshot, sqlite or postgres) is resolved by ``Manifest``."""
 
     def __init__(self, index_dir: str):
         self.index_dir = index_dir
@@ -31,22 +32,16 @@ class Index:
         """``metastore="sqlite"`` stores the manifest in an ACID sqlite DB;
         ``metastore="postgres"`` stores it in a SHARED PostgreSQL database
         (the reference's postgres metastore: one DB hosts many indexes,
-        rows scoped by index_uid) reached via ``metastore_dsn`` — a
-        ``metastore.json`` pointer pins the DSN so later opens resolve the
+        rows scoped by index_uid) reached via ``metastore_dsn``, which the
+        metastore pins next to the artifacts so later opens resolve the
         same server. All backends speak the same Manifest API."""
         # auto-detecting probe first: creating with a DIFFERENT backend
         # over an existing index must fail, not shadow/orphan it
         probe = Manifest(index_dir)
         if probe.index_config_json is not None:
             raise FileExistsError(f"index already exists at {index_dir}")
-        if metastore == "postgres":
-            if metastore_dsn is None:
-                raise ValueError("metastore='postgres' needs metastore_dsn")
-            from quickwit_ray.state.manifest import _index_uid
-            from quickwit_ray.state.sql import write_pointer
-
-            write_pointer(index_dir, metastore_dsn,
-                          index_uid=_index_uid(index_dir))
+        if metastore == "postgres" and metastore_dsn is None:
+            raise ValueError("metastore='postgres' needs metastore_dsn")
         manifest = Manifest(index_dir, backend=metastore, dsn=metastore_dsn)
         if manifest.index_config_json is not None:
             raise FileExistsError(f"index already exists at {index_dir}")

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 from typing import Any, Optional
 
+from quickwit_ray import storage
 from quickwit_ray.api import Index
 from quickwit_ray.config import (
     IndexConfig,
@@ -43,7 +43,7 @@ from quickwit_ray.search.es_rest import (
     normalize_endpoint,
     run_mapped,
 )
-from quickwit_ray.state.manifest import Manifest
+from quickwit_ray.state.manifest import Manifest, has_metastore
 
 
 def _assert_under_root(path: str, root: str) -> None:
@@ -403,14 +403,10 @@ class IndexApiService:
     def _delete(self, name: str) -> dict:
         idx = self._idx(name)
         del self.indexes[name]
-        # never rmtree a directory that is not actually an index root
-        # (metastore presence == index exists; manifest.json for the file
-        # backend, metastore.db/json for the sqlite/postgres backends); a
+        # never rmtree a directory that is not actually an index root: a
         # registration pointing at anything else must not take the tree
         # with it
-        if not any(os.path.exists(os.path.join(idx.index_dir, f))
-                   for f in ("manifest.json", "metastore.db",
-                             "metastore.json")):
+        if not has_metastore(idx.index_dir):
             raise EsApiError(
                 500, f"refusing to delete {idx.index_dir}: no metastore "
                 "(not an index directory)")
@@ -418,7 +414,7 @@ class IndexApiService:
         # pointer) disappears, or a pg-backed index could never be
         # recreated at the same path
         Manifest(idx.index_dir).drop()
-        shutil.rmtree(idx.index_dir, ignore_errors=True)
+        storage.rmtree(idx.index_dir, ignore_errors=True)
         return {"acknowledged": True}
 
     def _splits(self, name: str, params: dict) -> dict:
@@ -560,9 +556,13 @@ class IndexApiService:
             "# TYPE quickwit_index_num_splits gauge",
             "# TYPE quickwit_index_size_bytes gauge",
         ]
+        from quickwit_ray.search.engine import get_searcher
+
         for name in sorted(self.indexes):
-            m = Manifest(self.indexes[name].index_dir)
-            splits = m.published_splits()
+            # the cached searcher's manifest: a scrape with no commit in
+            # between loads nothing
+            splits = get_searcher(
+                self.indexes[name].index_dir).manifest.published_splits()
             lines.append(f'quickwit_index_num_docs{{index="{name}"}} '
                          f"{sum(s.num_docs for s in splits)}")
             lines.append(f'quickwit_index_num_splits{{index="{name}"}} '

@@ -39,7 +39,7 @@ from quickwit_ray.search.ast import (
 )
 from quickwit_ray.search.parser import parse_query
 from quickwit_ray.search.split_search import SplitSearcher
-from quickwit_ray.state.manifest import Manifest
+from quickwit_ray.state.manifest import Manifest, generation as manifest_generation
 
 
 @dataclass
@@ -255,31 +255,6 @@ _GLOBAL_LEAF_CACHE = _LeafCache()
 ENABLE_LEAF_CACHE = True
 
 
-def _manifest_stamp(index_dir: str) -> Optional[tuple]:
-    """Freshness stamp for FILE-backend manifests: every mutation appends
-    to manifest.log or atomically replaces manifest.json, so (mtime_ns,
-    size, inode) over both catches all of them. SQL backends return None
-    (uncacheable): sqlite's WAL can be overwritten in place at identical
-    size within one mtime granule, which would serve stale state forever."""
-    from quickwit_ray import storage
-
-    if storage.is_object_uri(index_dir):
-        # object roots: no inode identity to stamp; re-read the manifest
-        # (one small GET) so read-your-writes holds across processes
-        return None
-    if os.path.exists(os.path.join(index_dir, "metastore.db")) \
-            or os.path.exists(os.path.join(index_dir, "metastore.json")):
-        return None
-    parts = []
-    for fn in ("manifest.json", "manifest.log"):
-        try:
-            stv = os.stat(os.path.join(index_dir, fn))
-            parts.append((fn, stv.st_mtime_ns, stv.st_size, stv.st_ino))
-        except OSError:
-            parts.append((fn, -1, -1, -1))
-    return tuple(parts)
-
-
 import threading as _threading  # noqa: E402 — eager lock, no init race
 
 _LEAF_POOL = None
@@ -332,17 +307,17 @@ def set_default_search_execution(mode: str) -> None:
 def get_searcher(index_dir: str, execution: Optional[str] = None) -> "IndexSearcher":
     """Process-wide LRU of searchers with manifest-freshness validation:
     a fresh ``IndexSearcher`` re-reads the whole manifest (O(state) at
-    10^5+ splits), which is wasteful once per HTTP request. The stamp
-    preserves read-your-writes: any file-backend manifest mutation
-    touches a stamped file and rebuilds the searcher. SQL- and
-    object-backed indexes construct fresh (no reliable stamp). "local"
+    10^5+ splits), which is wasteful once per HTTP request. The
+    metastore generation preserves read-your-writes: any commit changes
+    it and rebuilds the searcher. Object-backed indexes have no
+    generation and construct fresh. "local"
     and "ray" searchers are cached alike; the "ray" leaf actor pool is
     process-global + mapping-agnostic, so leaf actors (and their
     split-affine reader caches) survive split publishes and searcher
     rebuilds by construction."""
     if execution is None:
         execution = _DEFAULT_EXECUTION
-    stamp = _manifest_stamp(index_dir)
+    stamp = manifest_generation(index_dir)
     if stamp is None:
         return IndexSearcher(index_dir, execution=execution)
     key = (index_dir, execution)

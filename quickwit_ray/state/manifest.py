@@ -2,13 +2,23 @@
 
 Re-expresses the reference metastore data model
 (`quickwit/quickwit-metastore/src/split_metadata.rs:61-135` for the split
-fields, `checkpoint.rs:170-188` for source checkpoints, and the
-file-backed metastore's atomic-publish semantics) as a single JSON
-manifest per index, updated by the driver only, committed via
-write-to-temp + atomic rename. The transactional publish of
-(new splits, replaced splits, checkpoint delta) —
+fields, `checkpoint.rs:170-188` for source checkpoints) as one
+:class:`Manifest` per index. The transactional publish of (new splits,
+replaced splits, checkpoint delta) —
 `quickwit/quickwit-indexing/src/actors/publisher.rs:137-160` — maps to
-one `Manifest.publish()` call = one atomic rename.
+one ``Manifest.publish()`` call = one op committed atomically.
+
+The state and its op ladder (``_apply``) are backend-free; persistence
+sits behind three small stores, picked per index root by
+:func:`_open_store` (the one place that knows the storage layout):
+
+  * ``_FileStore`` — local append log (``manifest.log``) + periodic
+    snapshot (``manifest.json``), serialized by an flock;
+  * ``_ObjectStore`` — one whole-object ``manifest.json`` PUT per op on
+    object storage (single writer per root across processes);
+  * ``state.sql.SqlStore`` — sqlite ``metastore.db`` or a shared
+    PostgreSQL database, one ACID transaction per op, guarded by a
+    generation row.
 
 Split states: staged -> published -> marked_for_deletion
 (`split_metadata.rs:294-303`). Artifacts on disk but absent from the
@@ -17,12 +27,14 @@ manifest (or staged/marked) are garbage-collectible.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
+import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 
 @dataclass
@@ -59,22 +71,6 @@ class SplitMetadata:
         return SplitMetadata(**obj)
 
 
-def _atomic_write_json(path: str, obj: Any) -> None:
-    d = os.path.dirname(path)
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".manifest-")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(obj, f, separators=(",", ":"))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)  # atomic on POSIX
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 COMPACT_EVERY = 64  # log entries between snapshot compactions
 
 
@@ -88,66 +84,363 @@ class StaleReplaceError(ValueError):
     caller must discard its output split and re-plan."""
 
 
-# per-index-root write locks for the OBJECT manifest backend: whole-object
-# PUTs are atomic but a read-modify-write is not — same-process writer
-# threads (serve: ingest handlers + the janitor loop) must serialize.
-# Keyed by index root; process-wide (the cross-process contract on object
-# roots remains single-writer, documented in _load_object).
-import threading as _threading
-
-_OBJECT_ROOT_LOCKS: dict[str, _threading.RLock] = {}
-_OBJECT_ROOT_LOCKS_GUARD = _threading.Lock()
+class GenerationConflict(Exception):
+    """A store's commit found that another writer committed since this
+    instance's last refresh; ``Manifest._commit`` refreshes and rebuilds
+    the op."""
 
 
-def _object_root_write_lock(index_dir: str) -> _threading.RLock:
-    with _OBJECT_ROOT_LOCKS_GUARD:
-        lock = _OBJECT_ROOT_LOCKS.get(index_dir)
+# per-index-root write locks: same-process writer threads (serve: ingest
+# handlers + the janitor loop) serialize their read-modify-write commits
+# here on every backend; across processes the file store adds its flock
+# and the SQL store its generation check (object roots stay single-writer)
+_ROOT_LOCKS: dict[str, threading.RLock] = {}
+_ROOT_LOCKS_GUARD = threading.Lock()
+
+
+def _root_lock(index_dir: str) -> threading.RLock:
+    with _ROOT_LOCKS_GUARD:
+        lock = _ROOT_LOCKS.get(index_dir)
         if lock is None:
-            lock = _OBJECT_ROOT_LOCKS[index_dir] = _threading.RLock()
+            lock = _ROOT_LOCKS[index_dir] = threading.RLock()
         return lock
 
 
-def _index_uid(index_dir: str) -> str:
-    """Deterministic per-index uid scoping rows in a SHARED postgres
-    database (the reference's index_uid, postgres/metastore.rs). Derived
-    from the artifact path/URI so every Manifest(index_dir) resolves the
-    same rows without extra coordination."""
-    import hashlib
+# -- snapshot format (manifest.json, shared by the file and object stores) --
 
+def _snapshot_bytes(m: "Manifest") -> bytes:
+    return json.dumps({
+        "index_config": m.index_config_json,
+        "splits": [s.to_json() for s in m.splits.values()],
+        "checkpoints": m.checkpoints,
+        "delete_tasks": m.delete_tasks,
+        "shards": m.shards,
+        "sources": m.sources,
+    }, separators=(",", ":")).encode()
+
+
+def _load_snapshot(m: "Manifest", raw: bytes) -> None:
+    obj = json.loads(raw)
+    m.index_config_json = obj.get("index_config")
+    m.splits = {s["split_id"]: SplitMetadata.from_json(s)
+                for s in obj["splits"]}
+    m.checkpoints = obj.get("checkpoints", {})
+    m.delete_tasks = obj.get("delete_tasks", [])
+    m.shards = obj.get("shards", {})
+    m.sources = obj.get("sources", {})
+
+
+def _stat_sig(path: str):
+    """Identity of one local file: an append or an atomic-rename
+    replace changes (ino, mtime_ns, size)."""
+    try:
+        st = os.stat(path)
+        return (st.st_ino, st.st_mtime_ns, st.st_size)
+    except OSError:
+        return None
+
+
+class _FileStore:
+    """Local APPEND-LOG + periodic snapshot: every op appends one fsync'd
+    JSON line to ``manifest.log`` — O(delta) bytes per commit instead of
+    rewriting the whole split list (a scale-killer at 10^5-10^6 splits).
+    Compaction snapshots the full state to ``manifest.json`` via atomic
+    rename and atomically truncates the log. Loading = read snapshot,
+    replay log; a torn trailing line (crash mid-append) is ignored;
+    replaying ops already folded into the snapshot is idempotent.
+
+    Writers hold an exclusive flock across refresh + append (the design
+    is single-writer, like the reference metastore's service, but two
+    accidental concurrent publishers must not interleave partial appends
+    or race the compaction rename); loads hold it shared."""
+
+    backend = "file"
+
+    def __init__(self, index_dir: str):
+        self.index_dir = index_dir
+        self.path = self.marker = os.path.join(index_dir, "manifest.json")
+        self.log_path = os.path.join(index_dir, "manifest.log")
+        # incremental-refresh bookkeeping: snapshot identity + consumed
+        # log bytes, see refresh()
+        self.snap_sig = None
+        self.log_offset = 0
+        self.log_entries = 0
+
+    @contextlib.contextmanager
+    def locked(self, shared: bool = False):
+        import fcntl
+
+        os.makedirs(self.index_dir, exist_ok=True)
+        fd = os.open(os.path.join(self.index_dir, ".manifest.lock"),
+                     os.O_CREAT | os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
+            yield
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
+            os.close(fd)
+
+    def load(self, m: "Manifest") -> None:
+        """Snapshot + log under a SHARED flock, so a concurrent writer's
+        compaction (snapshot replace + log truncate) cannot interleave —
+        without it a reader could pair the OLD snapshot with the NEW
+        (truncated) log and miss up to COMPACT_EVERY-1 ops."""
+        if os.path.exists(self.path) or os.path.exists(self.log_path):
+            with self.locked(shared=True):
+                self._read(m)
+
+    def _read(self, m: "Manifest") -> None:
+        self.snap_sig = _stat_sig(self.path)
+        self.log_entries = 0
+        if os.path.exists(self.path):
+            with open(self.path, "rb") as f:
+                _load_snapshot(m, f.read())
+        self.log_offset = 0
+        if os.path.exists(self.log_path):
+            with open(self.log_path, "rb") as f:
+                self._replay(m, f.read())
+
+    def _replay(self, m: "Manifest", raw: bytes) -> None:
+        """Fold raw log bytes read from ``log_offset`` into the state;
+        advances the cursor past the last COMPLETE line (a torn tail is
+        re-read on the next refresh, once the writer finishes it)."""
+        consumed = raw.rfind(b"\n") + 1  # 0 when no complete line yet
+        for chunk in raw[:consumed].split(b"\n"):
+            if not chunk.strip():
+                continue
+            try:
+                op = json.loads(chunk)
+            except json.JSONDecodeError:
+                # torn fragment from a writer that died mid-append (its
+                # op was never acknowledged) — or a writer's append IN
+                # FLIGHT while we read. NEVER truncate here: a reader
+                # racing the single writer must not destroy the line the
+                # writer is about to complete. The writer path starts
+                # every append on a fresh line (see commit), so a skipped
+                # fragment stays isolated and unacknowledged.
+                continue
+            m._apply(op)
+            self.log_entries += 1
+        self.log_offset += consumed
+        # a newline-less tail that parses as a COMPLETE op (a crashed
+        # writer persisted everything but the terminator) must be VISIBLE
+        # now: the next writer's fresh-line repair will terminate it and
+        # every later replay applies it BEFORE subsequent ops, so a CAS
+        # that didn't see it could approve a conflicting replacement
+        # (double-count). Fold it in WITHOUT advancing the cursor — it is
+        # re-read (idempotently) once terminated. A strict prefix of a
+        # JSON object can never parse as complete, so a half-written line
+        # stays invisible as before.
+        tail = raw[consumed:].strip()
+        if tail:
+            try:
+                m._apply(json.loads(tail))
+            except json.JSONDecodeError:
+                pass
+
+    def refresh(self, m: "Manifest") -> None:
+        """Incremental freshness (caller holds the flock): if the snapshot
+        was replaced (a compaction), reload everything; otherwise fold
+        only the log bytes appended since our last read. Keeps every
+        commit O(delta), not O(total splits) — at 10^6 splits a full
+        reload per publish would parse ~100 MB of JSON."""
+        if _stat_sig(self.path) != self.snap_sig:
+            m._reset_state()
+            self._read(m)
+            return
+        if not os.path.exists(self.log_path):
+            return
+        with open(self.log_path, "rb") as f:
+            f.seek(self.log_offset)
+            raw = f.read()
+        if raw:
+            self._replay(m, raw)
+
+    def commit(self, m: "Manifest", op: dict[str, Any],
+               changed: list) -> None:
+        with open(self.log_path, "ab") as f:
+            pre = f.tell()
+            # start on a fresh line even after a predecessor's torn tail
+            # (writer-side repair; readers never mutate the log)
+            if pre > 0:
+                with open(self.log_path, "rb") as rf:
+                    rf.seek(-1, os.SEEK_END)
+                    last = rf.read(1)
+                if last != b"\n":
+                    f.write(b"\n")
+            f.write(json.dumps(op, separators=(",", ":")).encode() + b"\n")
+            f.flush()
+            os.fsync(f.fileno())
+            # advance the refresh cursor past our own append — but ONLY
+            # if we were current up to the pre-write end of the log (a
+            # torn tail between would otherwise be skipped; leaving the
+            # cursor put just re-replays idempotent ops instead)
+            if self.log_offset == pre:
+                self.log_offset = f.tell()
+        self.log_entries += 1
+        # snapshot at create (manifest.json presence is the "index
+        # exists" signal), then LSM-style amortization: a snapshot costs
+        # O(total state), so the trigger scales with state size — at
+        # 10^6 splits a fixed every-64-ops policy would rewrite a huge
+        # manifest.json per 64 publishes; letting the log grow to
+        # ~state/8 keeps compaction O(1) amortized per op while replay
+        # stays bounded
+        if op["op"] == "create" or \
+                self.log_entries >= max(COMPACT_EVERY, len(m.splits) // 8):
+            self._compact(m)
+
+    def _compact(self, m: "Manifest") -> None:
+        """Snapshot + truncate the log, both via atomic rename, under the
+        writer flock. A crash between the two leaves snapshot + stale
+        log: replay is idempotent, so the state converges either way.
+        Snapshots the ON-DISK state (re-read here), never memory alone."""
+        m._reset_state()
+        self._read(m)
+        fd, tmp = tempfile.mkstemp(dir=self.index_dir, prefix=".manifest-")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(_snapshot_bytes(m))
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, self.path)  # atomic on POSIX
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+        fd, tmp = tempfile.mkstemp(dir=self.index_dir, prefix=".log-")
+        os.close(fd)
+        os.replace(tmp, self.log_path)
+        # we ARE the post-compaction state: refresh bookkeeping restarts
+        # at the new snapshot + empty log
+        self.snap_sig = _stat_sig(self.path)
+        self.log_offset = 0
+        self.log_entries = 0
+
+    def generation(self):
+        return (_stat_sig(self.path), _stat_sig(self.log_path))
+
+    def drop(self) -> None:
+        pass  # deleting the index dir removes the state
+
+
+class _ObjectStore:
+    """Object-store root: the full state lives in ONE manifest.json
+    object; a whole-object PUT is atomic by the store's contract, so
+    readers see the previous or the next state, never a torn one
+    (quickwit's file-backed metastore on S3 has the same model and the
+    same SINGLE-WRITER-per-index contract across processes; multi-writer
+    deployments use the SQL metastore with artifacts on the object
+    store). No ETag in the storage API, so there is no generation:
+    every commit and every searcher resolve re-reads the object."""
+
+    backend = "object"
+
+    def __init__(self, index_dir: str):
+        from quickwit_ray import storage
+
+        self.path = self.marker = storage.join(index_dir, "manifest.json")
+
+    def locked(self):
+        return contextlib.nullcontext()
+
+    def load(self, m: "Manifest") -> None:
+        from quickwit_ray import storage
+
+        if storage.exists(self.path):
+            _load_snapshot(m, storage.read_bytes(self.path))
+
+    def refresh(self, m: "Manifest") -> None:
+        m._reset_state()
+        self.load(m)
+
+    def commit(self, m: "Manifest", op: dict[str, Any],
+               changed: list) -> None:
+        from quickwit_ray import storage
+
+        storage.write_bytes(self.path, _snapshot_bytes(m))
+
+    def generation(self):
+        return None
+
+    def drop(self) -> None:
+        pass
+
+
+def _open_store(index_dir: str, backend: Optional[str] = None,
+                dsn: Optional[str] = None):
+    """The one backend switch: a metastore.json pointer marks a shared
+    PostgreSQL metastore (quickwit-metastore/src/metastore/postgres), a
+    metastore.db the per-index sqlite DB, an object URI the snapshot
+    store; anything else is the local append log."""
+    from quickwit_ray import storage
+    from quickwit_ray.state import sql
+
+    is_object = storage.is_object_uri(index_dir)
+    if backend is None:
+        ptr = sql.read_pointer(index_dir)
+        if ptr is not None:
+            backend = ptr.get("backend", "postgres")
+        elif is_object:
+            backend = "object"
+        elif os.path.exists(os.path.join(index_dir, "metastore.db")):
+            backend = "sqlite"
+        else:
+            backend = "file"
+    if backend == "file" and is_object:
+        backend = "object"
+    if backend in ("sqlite", "object") and \
+            (is_object != (backend == "object")):
+        raise ValueError(
+            f"metastore backend {backend!r} does not fit "
+            f"{'object' if is_object else 'local'} root "
+            f"{index_dir!r} (sqlite needs a local file; use "
+            f"metastore='postgres' or the object snapshot backend)")
+    if backend == "file":
+        return _FileStore(index_dir)
+    if backend == "object":
+        return _ObjectStore(index_dir)
+    if backend == "sqlite":
+        return sql.SqlStore.sqlite(index_dir)
+    if backend == "postgres":
+        return sql.SqlStore.postgres(index_dir, dsn)
+    raise ValueError(f"unknown metastore backend {backend!r}")
+
+
+def generation(index_dir: str):
+    """Freshness stamp of an index's committed metastore state, read
+    without loading it: a commit on any backend changes it, so equal
+    stamps mean the cached state is current. None = the backend cannot
+    tell (object roots), callers must re-read."""
+    return _open_store(index_dir).generation()
+
+
+def has_metastore(index_dir: str) -> bool:
+    """Whether ``index_dir`` holds an index's metastore (its snapshot,
+    sqlite DB or postgres pointer)."""
     from quickwit_ray import storage
 
-    key = index_dir if storage.is_object_uri(index_dir) \
-        else os.path.abspath(index_dir)
-    return hashlib.sha1(key.encode()).hexdigest()[:16]
+    return storage.exists(_open_store(index_dir).marker)
 
 
 class Manifest:
-    """Driver-side single-writer manifest for one index.
+    """One index's metastore state: splits, source checkpoints, delete
+    tasks, message-queue shards and source configs, behind the same API
+    on every backend (file log, object snapshot, sqlite, postgres).
 
-    Persistence is an APPEND-LOG + periodic snapshot (round-2 rework):
-    every transactional operation appends one fsync'd JSON line to
-    ``manifest.log`` — O(delta) bytes per commit instead of rewriting the
-    whole split list (which is a scale-killer at 10^5-10^6 splits). Every
-    ``COMPACT_EVERY`` appends the full state is snapshotted to
-    ``manifest.json`` via atomic rename and the log is atomically
-    truncated. Loading = read snapshot, replay log; a torn trailing line
-    (crash mid-append) is ignored; replaying ops already folded into the
-    snapshot is idempotent."""
+    Every mutator commits through :meth:`_commit`: under the per-root
+    lock it refreshes from the store, derives the op from that fresh
+    state (so duplicate/contiguity/CAS checks never act on a stale
+    instance), folds it in with ``_apply`` and hands it to the store."""
 
     def __init__(self, index_dir: str, backend: Optional[str] = None,
-                 dsn: Optional[str] = None, _shared_lock: bool = True):
-        from quickwit_ray import storage
-
+                 dsn: Optional[str] = None):
         self.index_dir = index_dir
-        self._is_object = storage.is_object_uri(index_dir)
-        self.path = storage.join(index_dir, "manifest.json")
-        self.log_path = storage.join(index_dir, "manifest.log")
-        self.db_path = storage.join(index_dir, "metastore.db")
+        self._reset_state()
+        self._store = _open_store(index_dir, backend, dsn)
+        self._store.load(self)
+
+    def _reset_state(self) -> None:
         self.index_config_json: Optional[dict[str, Any]] = None
-        # incremental-refresh bookkeeping (file backend): snapshot
-        # identity + consumed log bytes, see _refresh_file_locked
-        self._snap_sig = None
-        self._log_offset = 0
         self.splits: dict[str, SplitMetadata] = {}
         # committed source partitions: partition_id -> {"committed_at": ts}
         self.checkpoints: dict[str, dict[str, Any]] = {}
@@ -163,483 +456,114 @@ class Manifest:
         # declarative source configs (source-config.md; metastore
         # add_source/delete_source/toggle_source): {source_id: config}
         self.sources: dict[str, dict[str, Any]] = {}
-        self._log_entries = 0
-        self._store = None
-        self._dsn = dsn
-        # backend auto-detection: a metastore.json pointer marks a shared
-        # PostgreSQL metastore (quickwit-metastore/src/metastore/postgres);
-        # a metastore.db marks the per-index sqlite DB; else the
-        # append-log file backend. SQL backends get real ACID
-        # transactions instead of the append-log.
-        if backend is None:
-            from quickwit_ray.state.sql import read_pointer
 
-            ptr = read_pointer(index_dir)
-            if ptr is not None:
-                backend = ptr.get("backend", "postgres")
-            elif self._is_object:
-                # object root: snapshot-per-op whole-object PUTs — the
-                # reference's FILE metastore on S3 does exactly this
-                # (one put_object of the full index metadata per op)
-                backend = "object"
-            elif os.path.exists(self.db_path):
-                backend = "sqlite"
-            else:
-                backend = "file"
-        if backend == "file" and self._is_object:
-            backend = "object"
-        if backend in ("sqlite", "object") and \
-                (self._is_object != (backend == "object")):
-            raise ValueError(
-                f"metastore backend {backend!r} does not fit "
-                f"{'object' if self._is_object else 'local'} root "
-                f"{index_dir!r} (sqlite needs a local file; use "
-                f"metastore='postgres' or the object snapshot backend)")
-        self._backend = backend
-        if self._backend == "object":
-            self._load_object()
-        elif self._backend in ("sqlite", "postgres"):
-            if self._backend == "postgres" or os.path.exists(self.db_path):
-                self._load_sql()
-        elif os.path.exists(self.path) or os.path.exists(self.log_path):
-            self._load(shared_lock=_shared_lock)
+    # -- the one commit path --------------------------------------------------
 
-    # -- persistence --------------------------------------------------------
+    def _commit(self, build_op: Callable[[], Optional[dict[str, Any]]]
+                ) -> Optional[dict[str, Any]]:
+        """Read-modify-write commit: refresh to the freshest committed
+        state, let ``build_op()`` derive the op from it (None = no-op, an
+        exception aborts), fold it in and persist it. Returns the
+        committed op. The only retry is a SQL generation conflict (another
+        process committed between refresh and transaction)."""
+        with _root_lock(self.index_dir):
+            while True:
+                with self._store.locked():
+                    self._store.refresh(self)
+                    op = build_op()
+                    if op is None:
+                        return None
+                    changed = self._apply(op)
+                    try:
+                        self._store.commit(self, op, changed)
+                    except GenerationConflict:
+                        continue
+                    return op
 
-    def _load_object(self) -> None:
-        """Object-store backend: the full state lives in ONE manifest.json
-        object; a whole-object PUT is atomic by the store's contract, so
-        readers see the previous or the next state, never a torn one
-        (quickwit's file-backed metastore on S3 has the same model and the
-        same SINGLE-WRITER-per-index contract; multi-writer deployments
-        use the SQL metastore with artifacts on the object store)."""
-        from quickwit_ray import storage
-
-        if not storage.exists(self.path):
-            return
-        obj = json.loads(storage.read_bytes(self.path))
-        self.index_config_json = obj.get("index_config")
-        self.splits = {s["split_id"]: SplitMetadata.from_json(s)
-                       for s in obj["splits"]}
-        self.checkpoints = obj.get("checkpoints", {})
-        self.delete_tasks = obj.get("delete_tasks", [])
-        self.shards = obj.get("shards", {})
-        self.sources = obj.get("sources", {})
-
-    def _commit_object(self) -> None:
-        from quickwit_ray import storage
-
-        storage.write_bytes(
-            self.path,
-            json.dumps(self._snapshot_obj(), separators=(",", ":")).encode())
-
-    def _load(self, shared_lock: bool = True) -> None:
-        """Load snapshot + replay log. Readers hold a SHARED flock across
-        the two reads so a concurrent writer's compaction (snapshot
-        replace + log truncate, done under the exclusive lock) cannot
-        interleave — without it a reader could pair the OLD snapshot with
-        the NEW (truncated) log and miss up to COMPACT_EVERY-1 ops."""
-        if shared_lock and (os.path.exists(self.path)
-                            or os.path.exists(self.log_path)):
-            import fcntl
-
-            fd = os.open(os.path.join(self.index_dir, ".manifest.lock"),
-                         os.O_CREAT | os.O_RDWR)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_SH)
-                self._load(shared_lock=False)
-            finally:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-                os.close(fd)
-            return
-        self._snap_sig = self._stat_sig(self.path)
-        if os.path.exists(self.path):
-            with open(self.path) as f:
-                obj = json.load(f)
-            self.index_config_json = obj.get("index_config")
-            self.splits = {s["split_id"]: SplitMetadata.from_json(s)
-                           for s in obj["splits"]}
-            self.checkpoints = obj.get("checkpoints", {})
-            self.delete_tasks = obj.get("delete_tasks", [])
-            self.shards = obj.get("shards", {})
-            self.sources = obj.get("sources", {})
-        self._log_offset = 0
-        if os.path.exists(self.log_path):
-            with open(self.log_path, "rb") as f:
-                raw = f.read()
-            self._replay_log_bytes(raw, base_offset=0)
-
-    @staticmethod
-    def _stat_sig(path: str):
-        """Identity signature of the snapshot file (compaction replaces
-        it via atomic rename, so (ino, mtime_ns, size) changes)."""
-        try:
-            st = os.stat(path)
-            return (st.st_ino, st.st_mtime_ns, st.st_size)
-        except OSError:
-            return None
-
-    def _replay_log_bytes(self, raw: bytes, base_offset: int) -> None:
-        """Fold raw log bytes starting at ``base_offset`` into the state;
-        advances ``_log_offset`` past the last COMPLETE line (a torn tail
-        is re-read on the next refresh, once the writer finishes it)."""
-        consumed = raw.rfind(b"\n") + 1  # 0 when no complete line yet
-        for chunk in raw[:consumed].split(b"\n"):
-            if not chunk.strip():
-                continue
-            try:
-                op = json.loads(chunk)
-            except json.JSONDecodeError:
-                # torn fragment from a writer that died mid-append (its
-                # op was never acknowledged) — or a writer's append IN
-                # FLIGHT while we read. NEVER truncate here: a reader
-                # racing the single writer must not destroy the line the
-                # writer is about to complete. The writer path starts
-                # every append on a fresh line (see _append), so a
-                # skipped fragment stays isolated and unacknowledged.
-                continue
-            self._apply(op)
-            self._log_entries += 1
-        self._log_offset = base_offset + consumed
-        # a newline-less tail that parses as a COMPLETE op (a crashed
-        # writer persisted everything but the terminator) must be VISIBLE
-        # now: the next writer's fresh-line repair will terminate it and
-        # every later replay applies it BEFORE subsequent ops, so a CAS
-        # that didn't see it could approve a conflicting replacement
-        # (double-count). Fold it in WITHOUT advancing the cursor — it is
-        # re-read (idempotently) once terminated. A strict prefix of a
-        # JSON object can never parse as complete, so a half-written line
-        # stays invisible as before.
-        tail = raw[consumed:].strip()
-        if tail:
-            try:
-                self._apply(json.loads(tail))
-            except json.JSONDecodeError:
-                pass
-
-    def _refresh_file_locked(self) -> None:
-        """Incremental freshness for the FILE backend (caller holds the
-        manifest flock, shared or exclusive): if the snapshot was
-        replaced (a compaction), reload everything; otherwise fold only
-        the log bytes appended since our last read. Keeps the
-        replacement-publish CAS O(delta), not O(total splits) — at 10^6
-        splits a full reload per merge publish would parse ~100 MB of
-        JSON per compaction step."""
-        sig = self._stat_sig(self.path)
-        if sig != self._snap_sig:
-            # compaction (or first snapshot) happened: full reload
-            self._reset_state()
-            self._load(shared_lock=False)
-            return
-        if not os.path.exists(self.log_path):
-            return
-        with open(self.log_path, "rb") as f:
-            f.seek(self._log_offset)
-            raw = f.read()
-        if raw:
-            self._replay_log_bytes(raw, base_offset=self._log_offset)
-
-    def _apply(self, op: dict[str, Any]) -> None:
-        """Fold one log entry into the in-memory state (replay-idempotent)."""
+    def _apply(self, op: dict[str, Any]) -> list[tuple[str, Any]]:
+        """Fold one op into the in-memory state (replay-idempotent).
+        Returns the (table, key) pairs it touched; the SQL store rewrites
+        exactly those rows from the new state."""
         kind = op["op"]
-        if kind == "create":
+        if kind in ("create", "update_config"):
             self.index_config_json = op["index_config"]
-        elif kind == "update_config":
-            self.index_config_json = op["index_config"]
-        elif kind == "publish":
+            return [("meta", "index_config")]
+        if kind == "publish":
+            touched = []
             for sj in op.get("splits", ()):
                 sm = SplitMetadata.from_json(sj)
                 sm.split_state = "published"
                 self.splits[sm.split_id] = sm
+                touched.append(("splits", sm.split_id))
             for sid in op.get("replaced", ()):
                 if sid in self.splits:
                     self.splits[sid].split_state = "marked_for_deletion"
                     # ts from the OP (write time), not replay time — a
                     # log replay must reconstruct identical state
                     self.splits[sid].update_timestamp = op.get("ts", 0.0)
+                    touched.append(("splits", sid))
             for pid, cp in op.get("checkpoints", {}).items():
                 self.checkpoints[pid] = cp
-        elif kind == "mark_for_deletion":
-            for sid in op["split_ids"]:
-                if sid in self.splits:
-                    self.splits[sid].split_state = "marked_for_deletion"
-                    self.splits[sid].update_timestamp = op.get("ts", 0.0)
-        elif kind == "delete_splits":
+                touched.append(("checkpoints", pid))
+            return touched
+        if kind == "mark_for_deletion":
+            ids = [sid for sid in op["split_ids"] if sid in self.splits]
+            for sid in ids:
+                self.splits[sid].split_state = "marked_for_deletion"
+                self.splits[sid].update_timestamp = op.get("ts", 0.0)
+            return [("splits", sid) for sid in ids]
+        if kind == "delete_splits":
             for sid in op["split_ids"]:
                 self.splits.pop(sid, None)
-        elif kind == "delete_task":
-            if not any(t["opstamp"] == op["opstamp"] for t in self.delete_tasks):
+            return [("splits", sid) for sid in op["split_ids"]]
+        if kind == "delete_task":
+            if not any(t["opstamp"] == op["opstamp"]
+                       for t in self.delete_tasks):
                 self.delete_tasks.append({"opstamp": op["opstamp"],
                                           "query": op["query"]})
-        elif kind == "shard_open":
+            return [("delete_tasks", op["opstamp"])]
+        if kind == "shard_open":
             self.shards.setdefault(op["id"], {"token": op["token"],
                                               "ts": op["ts"]})
-        elif kind == "shard_acquire":
+            return [("shards", op["id"])]
+        if kind == "shard_acquire":
             self.shards[op["id"]] = {"token": op["token"], "ts": op["ts"]}
-        elif kind == "shard_prune":
+            return [("shards", op["id"])]
+        if kind == "shard_prune":
             for i in op["ids"]:
                 self.shards.pop(i, None)
                 self.checkpoints.pop(f"mq:{i}", None)
-        elif kind == "source_add":
+            return [(t, k) for i in op["ids"]
+                    for t, k in (("shards", i), ("checkpoints", f"mq:{i}"))]
+        if kind == "source_add":
             self.sources[op["source"]["source_id"]] = op["source"]
-        elif kind == "source_delete":
+            return [("sources", op["source"]["source_id"])]
+        if kind == "source_delete":
             self.sources.pop(op["source_id"], None)
-        elif kind == "source_toggle":
+            return [("sources", op["source_id"])]
+        if kind == "source_toggle":
             if op["source_id"] in self.sources:
                 self.sources[op["source_id"]]["enabled"] = bool(op["enable"])
-        elif kind == "checkpoint_reset":
+            return [("sources", op["source_id"])]
+        if kind == "checkpoint_reset":
             for k in op["keys"]:
                 self.checkpoints.pop(k, None)
-        elif kind == "clear":
+            return [("checkpoints", k) for k in op["keys"]]
+        if kind == "clear":
             # `index clear` (index_api clear handler): all splits, source
             # checkpoints, delete tasks and shards drop in ONE op; the
-            # index config survives
+            # index config and source CONFIGS survive
+            touched = ([("splits", k) for k in self.splits]
+                       + [("checkpoints", k) for k in self.checkpoints]
+                       + [("delete_tasks", t["opstamp"])
+                          for t in self.delete_tasks]
+                       + [("shards", k) for k in self.shards])
             self.splits = {}
             self.checkpoints = {}
             self.delete_tasks = []
             self.shards = {}
-            # source CONFIGS survive a clear (only data/state drops),
-            # matching the config-survives semantics of the index config
-        else:  # pragma: no cover — forward compat
-            raise ValueError(f"unknown manifest op {kind!r}")
-
-    # -- SQL backend driver (sqlite file DB, or a shared PostgreSQL
-    # server via state/sql.py — the reference's postgres metastore; same
-    # transactional semantics either way: one op = one ACID transaction,
-    # state survives without snapshot/compaction) ------------------------
-
-    def _sql(self):
-        from quickwit_ray.state.sql import SqlStore, connect_dsn, read_pointer
-
-        if self._store is None:
-            if self._backend == "postgres":
-                ptr = read_pointer(self.index_dir)
-                dsn = self._dsn or (ptr or {}).get("dsn")
-                if dsn is None:
-                    raise FileNotFoundError(
-                        f"no metastore.json pointer at {self.index_dir}")
-                uid = (ptr or {}).get("index_uid") or _index_uid(self.index_dir)
-                self._store = SqlStore(connect_dsn(dsn), "postgres", uid)
-            else:
-                import sqlite3
-
-                os.makedirs(self.index_dir, exist_ok=True)
-                conn = sqlite3.connect(self.db_path)
-                conn.execute("PRAGMA journal_mode=WAL")
-                self._store = SqlStore(conn, "sqlite")
-            self._store.create_tables()
-        return self._store
-
-    def _reset_state(self) -> None:
-        self.index_config_json = None
-        self.splits = {}
-        self.checkpoints = {}
-        self.delete_tasks = []
-        self.shards = {}
-        self.sources = {}
-        self._log_entries = 0
-
-    def _load_sql(self) -> None:
-        # full overwrite, never a merge: the CAS paths re-load a WARM
-        # instance, where merging would keep DB-deleted splits alive as
-        # stale 'published' rows and re-append every delete task
-        self._reset_state()
-        st = self._sql()
-        for k, v in st.select_all("meta"):
-            if k == "index_config":
-                self.index_config_json = json.loads(v)
-        for _sid, j in st.select_all("splits"):
-            sm = SplitMetadata.from_json(json.loads(j))
-            self.splits[sm.split_id] = sm
-        for p, j in st.select_all("checkpoints"):
-            self.checkpoints[p] = json.loads(j)
-        for o, q in st.select_all("delete_tasks", order_by="opstamp"):
-            self.delete_tasks.append({"opstamp": int(o), "query": q})
-        for sid, j in st.select_all("shards"):
-            self.shards[sid] = json.loads(j)
-        for sid, j in st.select_all("sources"):
-            self.sources[sid] = json.loads(j)
-
-    def _apply_sql(self, op: dict[str, Any]) -> None:
-        """One op = one ACID transaction. Split rows are re-serialized from
-        the in-memory state (already updated by _apply), so state-changing
-        ops like replacement marking stay consistent."""
-        st = self._sql()
-        kind = op["op"]
-        with st.tx() as cur:
-            if kind in ("create", "update_config"):
-                st.upsert(cur, "meta",
-                          ("index_config", json.dumps(op["index_config"])))
-            elif kind == "publish":
-                for sj in op.get("splits", ()):
-                    sid = sj["split_id"]
-                    st.upsert(cur, "splits",
-                              (sid, json.dumps(self.splits[sid].to_json())))
-                for sid in op.get("replaced", ()):
-                    if sid in self.splits:
-                        st.upsert(cur, "splits",
-                                  (sid, json.dumps(self.splits[sid].to_json())))
-                for pid in op.get("checkpoints", {}):
-                    st.upsert(cur, "checkpoints",
-                              (pid, json.dumps(self.checkpoints[pid])))
-            elif kind == "mark_for_deletion":
-                for sid in op["split_ids"]:
-                    if sid in self.splits:
-                        st.upsert(cur, "splits",
-                                  (sid, json.dumps(self.splits[sid].to_json())))
-            elif kind == "delete_splits":
-                for sid in op["split_ids"]:
-                    st.delete_where_pk(cur, "splits", sid)
-            elif kind == "delete_task":
-                st.insert_ignore(cur, "delete_tasks",
-                                 (op["opstamp"], op["query"]))
-            elif kind == "shard_open":
-                st.insert_ignore(cur, "shards",
-                                 (op["id"], json.dumps(self.shards[op["id"]])))
-            elif kind == "shard_acquire":
-                st.upsert(cur, "shards",
-                          (op["id"], json.dumps(self.shards[op["id"]])))
-            elif kind == "shard_prune":
-                for i in op["ids"]:
-                    st.delete_where_pk(cur, "shards", i)
-                    st.delete_where_pk(cur, "checkpoints", f"mq:{i}")
-            elif kind == "source_add":
-                sid = op["source"]["source_id"]
-                st.upsert(cur, "sources", (sid, json.dumps(op["source"])))
-            elif kind == "source_delete":
-                st.delete_where_pk(cur, "sources", op["source_id"])
-            elif kind == "source_toggle":
-                sid = op["source_id"]
-                if sid in self.sources:
-                    st.upsert(cur, "sources",
-                              (sid, json.dumps(self.sources[sid])))
-            elif kind == "checkpoint_reset":
-                for k in op["keys"]:
-                    st.delete_where_pk(cur, "checkpoints", k)
-            elif kind == "clear":
-                for t in ("splits", "checkpoints", "delete_tasks", "shards"):
-                    st.delete_all(cur, t)
-            else:  # pragma: no cover
-                raise ValueError(f"unknown manifest op {kind!r}")
-
-    def _writer_lock(self):
-        """Exclusive advisory lock serializing file-backend writers: the
-        design is single-writer (the reference metastore serializes in
-        its service), but two accidental concurrent publishers must not
-        interleave partial appends or race the compaction rename. SQL
-        backends get this from their transactions."""
-        import fcntl
-        from contextlib import contextmanager
-
-        @contextmanager
-        def lock():
-            os.makedirs(self.index_dir, exist_ok=True)
-            fd = os.open(os.path.join(self.index_dir, ".manifest.lock"),
-                         os.O_CREAT | os.O_RDWR)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-                yield
-            finally:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-                os.close(fd)
-
-        return lock()
-
-    def _append(self, op: dict[str, Any]) -> None:
-        if self._backend == "object":
-            # snapshot-per-op: read-modify-write under a process-wide
-            # per-root lock. Reload the CURRENT object, fold this op into
-            # the fresh state (ops are replay-complete — the file
-            # backend's log replay depends on that), then one atomic
-            # whole-object PUT. Same-process concurrent writers (serve:
-            # HTTP ingest threads + the janitor) serialize here and never
-            # lose each other's updates; the cross-PROCESS contract stays
-            # SINGLE WRITER per index root (use the SQL metastore for
-            # multi-writer).
-            with _object_root_write_lock(self.index_dir):
-                self._load_object()
-                self._apply(op)
-                self._commit_object()
-            return
-        if self._backend in ("sqlite", "postgres"):
-            self._apply_sql(op)
-            return
-        with self._writer_lock():
-            self._append_locked(op)
-
-    def _append_locked(self, op: dict[str, Any]) -> None:
-        os.makedirs(self.index_dir, exist_ok=True)
-        with open(self.log_path, "ab") as f:
-            pre = f.tell()
-            # start on a fresh line even after a predecessor's torn tail
-            # (writer-side repair; readers never mutate the log)
-            if pre > 0:
-                with open(self.log_path, "rb") as rf:
-                    rf.seek(-1, os.SEEK_END)
-                    last = rf.read(1)
-                if last != b"\n":
-                    f.write(b"\n")
-            f.write(json.dumps(op, separators=(",", ":")).encode() + b"\n")
-            f.flush()
-            os.fsync(f.fileno())
-            # advance the refresh cursor past our own append — but ONLY
-            # if we were current up to the pre-write end of the log. If
-            # another writer appended bytes we haven't folded (or a torn
-            # tail sits between), skipping ahead would hide those lines
-            # from the next _refresh_file_locked; leaving the cursor put
-            # just re-replays idempotent ops instead.
-            if self._log_offset == pre:
-                self._log_offset = f.tell()
-        self._log_entries += 1
-        # LSM-style amortization: a snapshot costs O(total state), so the
-        # trigger scales with state size — at 10^6 splits a fixed
-        # every-64-ops policy would rewrite a huge manifest.json per 64
-        # publishes; letting the log grow to ~state/8 keeps compaction
-        # cost O(1) amortized per op while replay stays bounded
-        if self._log_entries >= max(COMPACT_EVERY, len(self.splits) // 8):
-            self._compact()
-
-    def _snapshot_obj(self) -> dict[str, Any]:
-        return {
-            "index_config": self.index_config_json,
-            "splits": [s.to_json() for s in self.splits.values()],
-            "checkpoints": self.checkpoints,
-            "delete_tasks": self.delete_tasks,
-            "shards": self.shards,
-            "sources": self.sources,
-        }
-
-    def _compact(self) -> None:
-        """Snapshot + truncate the log, both via atomic rename. A crash
-        between the two leaves snapshot + stale log: replay is idempotent,
-        so the state converges either way. (No-op for the SQL backends —
-        transactions ARE the durable state.)
-
-        Runs under the writer lock, and snapshots the ON-DISK state (a
-        fresh snapshot+log replay), not this instance's memory: if
-        another writer appended ops after this instance loaded, a
-        memory-based snapshot would silently destroy them when the log
-        truncates. The re-load also heals this instance's staleness."""
-        if self._backend in ("sqlite", "postgres", "object"):
-            return
-        # _shared_lock=False: we HOLD the exclusive writer lock here — a
-        # shared re-acquisition on a second fd would self-deadlock
-        fresh = Manifest(self.index_dir, backend="file", _shared_lock=False)
-        self.index_config_json = fresh.index_config_json
-        self.splits = fresh.splits
-        self.checkpoints = fresh.checkpoints
-        self.delete_tasks = fresh.delete_tasks
-        self.shards = fresh.shards
-        self.sources = fresh.sources
-        _atomic_write_json(self.path, self._snapshot_obj())
-        fd, tmp = tempfile.mkstemp(dir=self.index_dir, prefix=".log-")
-        os.close(fd)
-        os.replace(tmp, self.log_path)
-        self._log_entries = 0
-        # we ARE the post-compaction state: refresh bookkeeping restarts
-        # at the new snapshot + empty log
-        self._snap_sig = self._stat_sig(self.path)
-        self._log_offset = 0
+            return touched
+        raise ValueError(f"unknown manifest op {kind!r}")  # pragma: no cover
 
     # -- message-queue shard ownership (queue_sources/shared_state.rs) ----
 
@@ -647,7 +571,7 @@ class Manifest:
         """First-caller-wins ownership claim (OpenShards analog): records
         (shard_id -> token) if unclaimed and returns the OWNING token —
         the caller proceeds only when it equals its own. The claim check
-        runs under the write lock on fresh state, so a losing concurrent
+        runs on fresh state inside the commit, so a losing concurrent
         claimant gets the WINNER's token back, never its own."""
         cur = self.shards.get(shard_id)
         if cur is not None:
@@ -659,7 +583,7 @@ class Manifest:
             return {"op": "shard_open", "id": shard_id, "token": token,
                     "ts": time.time()}
 
-        self._append_rmw(build)
+        self._commit(build)
         return self.shards[shard_id]["token"]
 
     def acquire_shard(self, shard_id: str, token: str) -> None:
@@ -669,8 +593,7 @@ class Manifest:
         no-ops the duplicate publish)."""
         op = {"op": "shard_acquire", "id": shard_id, "token": token,
               "ts": time.time()}
-        self._apply(op)
-        self._append(op)
+        self._commit(lambda: op)
 
     def shard_info(self, shard_id: str) -> Optional[dict[str, Any]]:
         return self.shards.get(shard_id)
@@ -684,110 +607,85 @@ class Manifest:
         the table; a duplicate delivery AFTER the window would reprocess —
         the documented trade."""
         before = time.time() - older_than_sec
-        ids = [k for k, v in self.shards.items() if v["ts"] < before]
-        if not ids:
-            return 0
-        op = {"op": "shard_prune", "ids": ids}
-        self._apply(op)
-        self._append(op)
-        return len(ids)
+
+        def build() -> Optional[dict[str, Any]]:
+            ids = [k for k, v in self.shards.items() if v["ts"] < before]
+            return {"op": "shard_prune", "ids": ids} if ids else None
+
+        op = self._commit(build)
+        return len(op["ids"]) if op else 0
 
     def drop(self) -> None:
         """Remove this index's rows from a shared SQL metastore entirely
         (index deletion — unlike ``clear``, the config and source rows go
         too). File-backed state needs no extra work: deleting the index
         dir removes it."""
-        if self._backend not in ("sqlite", "postgres"):
-            return
-        st = self._sql()
-        with st.tx() as cur:
-            for t in ("meta", "splits", "checkpoints", "delete_tasks",
-                      "shards", "sources"):
-                st.delete_all(cur, t)
+        self._store.drop()
 
     # -- declarative source configs (metastore add_source/delete_source/
     # toggle_source, quickwit-metastore index_metadata.rs) ----------------
 
     def add_source(self, source_config: dict[str, Any]) -> None:
         sid = source_config["source_id"]
-        if sid in self.sources:
-            raise ValueError(f"source {sid!r} already exists")
-        op = {"op": "source_add", "source": source_config}
-        self._apply(op)
-        self._append(op)
+
+        def build() -> dict[str, Any]:
+            if sid in self.sources:
+                raise ValueError(f"source {sid!r} already exists")
+            return {"op": "source_add", "source": source_config}
+
+        self._commit(build)
+
+    def _source_op(self, source_id: str, op: dict[str, Any]) -> None:
+        def build() -> dict[str, Any]:
+            if source_id not in self.sources:
+                raise KeyError(f"no source {source_id!r}")
+            return op
+
+        self._commit(build)
 
     def delete_source(self, source_id: str) -> None:
-        if source_id not in self.sources:
-            raise KeyError(f"no source {source_id!r}")
-        op = {"op": "source_delete", "source_id": source_id}
-        self._apply(op)
-        self._append(op)
+        self._source_op(source_id, {"op": "source_delete",
+                                    "source_id": source_id})
 
     def toggle_source(self, source_id: str, enable: bool) -> None:
-        if source_id not in self.sources:
-            raise KeyError(f"no source {source_id!r}")
-        op = {"op": "source_toggle", "source_id": source_id,
-              "enable": bool(enable)}
-        self._apply(op)
-        self._append(op)
+        self._source_op(source_id, {"op": "source_toggle",
+                                    "source_id": source_id,
+                                    "enable": bool(enable)})
 
     def reset_source_checkpoint(self, source_id: str) -> int:
         """Drop every committed checkpoint of one source (the reference's
         PUT .../sources/{id}/reset-checkpoint): the next ingestion run
         re-reads the source from the beginning. Returns keys removed."""
         prefix = f"src.{source_id}:"
-        keys = [k for k in self.checkpoints if k.startswith(prefix)]
-        if not keys:
-            return 0
-        op = {"op": "checkpoint_reset", "keys": keys}
-        self._apply(op)
-        self._append(op)
-        return len(keys)
+
+        def build() -> Optional[dict[str, Any]]:
+            keys = [k for k in self.checkpoints if k.startswith(prefix)]
+            return {"op": "checkpoint_reset", "keys": keys} if keys else None
+
+        op = self._commit(build)
+        return len(op["keys"]) if op else 0
 
     def create_delete_task(self, query: str) -> int:
-        """Record a stored delete query; returns its opstamp. The
-        opstamp is allocated UNDER the write lock from fresh state —
-        derived pre-lock, two concurrent creators would pick the same
-        value and replay's opstamp-dedup would silently drop one query.
-        On the SQL backends another PROCESS can still win the same
-        opstamp between our reload and tx (insert_ignore drops ours), so
-        verify our row survived in the post-commit reload and retry."""
-        for _ in range(16):
-            out: dict[str, int] = {}
+        """Record a stored delete query; returns its opstamp, allocated
+        inside the commit from fresh state — derived from a stale
+        instance, two concurrent creators would pick the same value and
+        replay's opstamp-dedup would silently drop one query."""
 
-            def build() -> dict[str, Any]:
-                opstamp = max((t["opstamp"] for t in self.delete_tasks),
-                              default=0) + 1
-                out["opstamp"] = opstamp
-                return {"op": "delete_task", "opstamp": opstamp,
-                        "query": query}
+        def build() -> dict[str, Any]:
+            return {"op": "delete_task",
+                    "opstamp": self.last_delete_opstamp + 1, "query": query}
 
-            self._append_rmw(build)
-            stamp = out["opstamp"]
-            if any(t["opstamp"] == stamp and t["query"] == query
-                   for t in self.delete_tasks):
-                return stamp
-        raise RuntimeError(
-            "could not allocate a delete-task opstamp after 16 tries "
-            "(pathological cross-process contention)")
+        return self._commit(build)["opstamp"]
 
     @property
     def last_delete_opstamp(self) -> int:
         return max((t["opstamp"] for t in self.delete_tasks), default=0)
 
-    # -- transactional operations (each = one atomic rename) ----------------
+    # -- transactional operations (each = one committed op) -----------------
 
     def create(self, index_config_json: dict[str, Any]) -> None:
         op = {"op": "create", "index_config": index_config_json}
-        self._apply(op)
-        self._append(op)
-        # snapshot immediately: manifest.json presence is the "index
-        # exists" signal for Index.open and the reader caches
-        if self._backend == "file":
-            with self._writer_lock():
-                self._compact()
-        else:
-            self._compact()
+        self._commit(lambda: op)
 
     def update_config(self, index_config_json: dict[str, Any]) -> None:
         """Replace the stored index config (`quickwit index update` /
@@ -797,8 +695,7 @@ class Manifest:
         (the reference's update semantics: no reindex; old splits keep the
         artifacts built under the old mapping)."""
         op = {"op": "update_config", "index_config": index_config_json}
-        self._apply(op)
-        self._append(op)
+        self._commit(lambda: op)
 
     def publish(self, new_splits: Iterable[SplitMetadata],
                 replaced_split_ids: Iterable[str] = (),
@@ -807,7 +704,7 @@ class Manifest:
         """Atomic publish: add new splits, mark replaced ones for deletion,
         record the source-partition checkpoint. A re-publish of an
         already-committed partition is a no-op (exactly-once semantics).
-        One append-log line = one transaction (publisher.rs:137-160).
+        One op = one transaction (publisher.rs:137-160).
 
         Replacement publishes run under a split-state CAS (raise
         :class:`StaleReplaceError` when a replaced split already left the
@@ -816,81 +713,14 @@ class Manifest:
         ids for deletion — re-publishing a split another writer merged
         away would otherwise resurrect its docs next to the merged
         copy's."""
-        if checkpoint_partition is not None and checkpoint_partition in self.checkpoints:
-            return  # duplicate commit = no-op (checkpoint.rs contiguity analog)
-        op: dict[str, Any] = {
-            "op": "publish",
-            "splits": [sm.to_json() for sm in new_splits],
-            "replaced": list(replaced_split_ids),
-        }
-        if op["replaced"]:
-            op["ts"] = time.time()  # mark time for the GC grace period
-        if checkpoint_partition is not None:
-            op["checkpoints"] = {checkpoint_partition: {"committed_at": time.time()}}
-        check_ids = op["replaced"] + [s for s in require_published
-                                      if s not in op["replaced"]]
-        if check_ids:
-            self._append_replace_cas(op, check_ids)
-            return
-        self._apply(op)
-        self._append(op)
-
-    def _append_rmw(self, build_op) -> None:
-        """Read-modify-write append: refresh to the FRESHEST committed
-        state under the per-root write lock, let ``build_op()`` derive
-        the op from that state (return None to no-op, raise to abort),
-        then apply + commit atomically. Required whenever the op's
-        VALUE depends on current state (opstamp allocation, shard
-        first-claim, split-state CAS) — an op derived from a pre-lock
-        snapshot can collide with a concurrent writer's and be silently
-        dropped by idempotent replay. Same-process writers serialize on
-        the per-root lock for every backend; the file backend
-        additionally holds its cross-process flock across refresh +
-        append (O(delta) via the incremental log-tail refresh)."""
-        with _object_root_write_lock(self.index_dir):
-            if self._backend == "object":
-                self._load_object()
-                op = build_op()
-                if op is None:
-                    return
-                self._apply(op)
-                self._commit_object()
-                return
-            if self._backend in ("sqlite", "postgres"):
-                # reload + tx run back-to-back under the per-root
-                # process lock. The lock only covers THIS process: a
-                # writer in ANOTHER process can commit between our
-                # reload and our tx, and insert_ignore silently drops
-                # the colliding row — so re-load the DB truth after the
-                # commit. Callers whose op VALUE must win (opstamp
-                # allocation) verify against the reloaded state and
-                # retry; first-claim callers (open_shard) read the
-                # committed winner from it.
-                self._load_sql()
-                op = build_op()
-                if op is None:
-                    return
-                self._apply(op)
-                self._apply_sql(op)
-                self._load_sql()
-                return
-            with self._writer_lock():
-                self._refresh_file_locked()
-                op = build_op()
-                if op is None:
-                    return
-                self._apply(op)
-                self._append_locked(op)
-
-    def _append_replace_cas(self, op: dict[str, Any],
-                            check_ids: list[str]) -> None:
-        """Publish-with-replacement under a split-state CAS: every
-        replaced id must still be PUBLISHED in the freshest manifest
-        state, checked and committed atomically (quickwit metastore
-        publish_splits refuses when a source split left the Published
-        state)."""
+        splits = [sm.to_json() for sm in new_splits]
+        replaced = list(replaced_split_ids)
+        check_ids = replaced + [s for s in require_published
+                                if s not in replaced]
 
         def build() -> Optional[dict[str, Any]]:
+            if checkpoint_partition in self.checkpoints:
+                return None  # duplicate commit = no-op (checkpoint.rs)
             for sid in check_ids:
                 sm = self.splits.get(sid)
                 if sm is None or sm.split_state != "published":
@@ -898,27 +728,33 @@ class Manifest:
                         f"replaced split {sid!r} is no longer published "
                         "(concurrent merge/delete/retention won the race)"
                         " — discard the output and re-plan")
-            cps = op.get("checkpoints")
-            if cps and any(p in self.checkpoints for p in cps):
-                return None  # duplicate commit raced in: no-op
+            op: dict[str, Any] = {"op": "publish", "splits": splits,
+                                  "replaced": replaced}
+            if replaced:
+                op["ts"] = time.time()  # mark time for the GC grace period
+            if checkpoint_partition is not None:
+                op["checkpoints"] = {
+                    checkpoint_partition: {"committed_at": time.time()}}
             return op
 
-        self._append_rmw(build)
+        self._commit(build)
 
     def publish_many(self, by_partition: dict[str, list[SplitMetadata]]) -> None:
-        """Publish several completed source partitions in ONE atomic manifest
-        append (same exactly-once semantics; coarser commit batching so a
-        build doesn't pay one fsync per partition)."""
-        op: dict[str, Any] = {"op": "publish", "splits": [], "replaced": [],
-                              "checkpoints": {}}
-        for pid, sms in by_partition.items():
-            if pid in self.checkpoints:
-                continue
-            op["splits"].extend(sm.to_json() for sm in sms)
-            op["checkpoints"][pid] = {"committed_at": time.time()}
-        if op["checkpoints"]:
-            self._apply(op)
-            self._append(op)
+        """Publish several completed source partitions in ONE atomic commit
+        (same exactly-once semantics; coarser commit batching so a build
+        doesn't pay one fsync per partition)."""
+
+        def build() -> Optional[dict[str, Any]]:
+            op: dict[str, Any] = {"op": "publish", "splits": [],
+                                  "replaced": [], "checkpoints": {}}
+            for pid, sms in by_partition.items():
+                if pid in self.checkpoints:
+                    continue
+                op["splits"].extend(sm.to_json() for sm in sms)
+                op["checkpoints"][pid] = {"committed_at": time.time()}
+            return op if op["checkpoints"] else None
+
+        self._commit(build)
 
     def source_offset(self, partition: str):
         """Committed stream position for a queue partition (0 = nothing
@@ -946,8 +782,6 @@ class Manifest:
             restart from the committed offset)
           * else commit splits + offset in ONE manifest write
         """
-        op: dict[str, Any] = {"op": "publish", "splits": [], "replaced": [],
-                              "checkpoints": {}}
 
         def ge(a, b) -> bool:
             # position order: int 0 == Beginning < every opaque string;
@@ -956,21 +790,24 @@ class Manifest:
                 return isinstance(a, str)  # a opaque, b Beginning(0)
             return a >= b
 
-        for pid, (sms, frm, to) in by_partition.items():
-            cur = self.source_offset(pid)
-            if ge(cur, to):
-                continue  # duplicate commit = no-op
-            if cur != frm:
-                raise ValueError(
-                    f"checkpoint delta not contiguous for {pid!r}: "
-                    f"committed {cur}, delta [{frm}, {to})")
-            op["splits"].extend(sm.to_json() for sm in sms)
-            op["checkpoints"][pid] = {"committed_at": time.time(),
-                                      "offset": (to if isinstance(to, str)
-                                                 else int(to))}
-        if op["checkpoints"]:
-            self._apply(op)
-            self._append(op)
+        def build() -> Optional[dict[str, Any]]:
+            op: dict[str, Any] = {"op": "publish", "splits": [],
+                                  "replaced": [], "checkpoints": {}}
+            for pid, (sms, frm, to) in by_partition.items():
+                cur = self.source_offset(pid)
+                if ge(cur, to):
+                    continue  # duplicate commit = no-op
+                if cur != frm:
+                    raise ValueError(
+                        f"checkpoint delta not contiguous for {pid!r}: "
+                        f"committed {cur}, delta [{frm}, {to})")
+                op["splits"].extend(sm.to_json() for sm in sms)
+                op["checkpoints"][pid] = {
+                    "committed_at": time.time(),
+                    "offset": to if isinstance(to, str) else int(to)}
+            return op if op["checkpoints"] else None
+
+        self._commit(build)
 
     def clear(self) -> list[str]:
         """Reset the index to empty (`quickwit index clear` /
@@ -978,22 +815,23 @@ class Manifest:
         task and shard drops in one atomic op; the index config and id
         survive. Returns the dropped split ids so the caller can delete
         their artifact dirs."""
-        ids = list(self.splits)
-        op = {"op": "clear"}
-        self._apply(op)
-        self._append(op)
+        ids: list[str] = []
+
+        def build() -> dict[str, Any]:
+            ids[:] = self.splits
+            return {"op": "clear"}
+
+        self._commit(build)
         return ids
 
     def mark_for_deletion(self, split_ids: Iterable[str]) -> None:
         op = {"op": "mark_for_deletion", "split_ids": list(split_ids),
               "ts": time.time()}
-        self._apply(op)
-        self._append(op)
+        self._commit(lambda: op)
 
     def delete_splits(self, split_ids: Iterable[str]) -> None:
         op = {"op": "delete_splits", "split_ids": list(split_ids)}
-        self._apply(op)
-        self._append(op)
+        self._commit(lambda: op)
 
     # -- queries ------------------------------------------------------------
 

@@ -20,3 +20,15 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture()
+def pg_dsn(tmp_path):
+    """A ``fakepg://`` DSN over a fresh shared sqlite file (see
+    tests/fakepg.py); returns (dsn, path of the backing DB)."""
+    from quickwit_ray.state.sql import register_driver
+    from tests.fakepg import _FakePostgres
+
+    db = str(tmp_path / "shared-metastore.db")
+    register_driver("fakepg", lambda dsn: _FakePostgres(db))
+    return f"fakepg://{db}", db

@@ -129,7 +129,7 @@ def test_local_paths_keep_plain_os_fast_path(tmp_path):
 
 def test_object_manifest_backend_roundtrip(obj_root):
     m = Manifest(obj_root)
-    assert m._backend == "object"
+    assert m._store.backend == "object"
     m.create({"index_id": "docs"})
     m.publish([SplitMetadata("s1", "docs", 10, 100)],
               checkpoint_partition="p0")

@@ -2,9 +2,8 @@
 quickwit-metastore/src/metastore/postgres/metastore.rs — one shared
 database hosts every index, rows scoped by index_uid, one op = one ACID
 transaction). No postgres server exists in this sandbox, so a fake DBAPI
-driver (sqlite-backed, enforcing postgres paramstyle) is registered for
-the ``fakepg`` DSN scheme — the dialect layer must emit ``%s`` params and
-``ON CONFLICT`` upserts for it to work at all."""
+driver (tests/fakepg.py: sqlite-backed, enforcing postgres paramstyle) is
+registered for the ``fakepg`` DSN scheme by the ``pg_dsn`` fixture."""
 
 import sqlite3
 
@@ -14,50 +13,9 @@ import pytest
 from quickwit_ray.api import Index
 from quickwit_ray.config import IndexSettings, documents_doc_mapping
 from quickwit_ray.state.manifest import Manifest, SplitMetadata
-from quickwit_ray.state.sql import register_driver
+from tests.fakepg import SEEN_SQL
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
-
-SEEN_SQL: list[str] = []
-
-
-class _FakeCursor:
-    def __init__(self, cur):
-        self._cur = cur
-
-    def execute(self, sql, params=()):
-        # a real postgres driver would reject sqlite's '?' paramstyle
-        assert "?" not in sql, f"postgres dialect emitted sqlite SQL: {sql}"
-        SEEN_SQL.append(sql)
-        self._cur.execute(sql.replace("%s", "?"), params)
-
-    def fetchall(self):
-        return self._cur.fetchall()
-
-
-class _FakePostgres:
-    """DBAPI-shaped connection: cursor/commit/rollback only (what the
-    dialect layer is allowed to use)."""
-
-    def __init__(self, path):
-        self._con = sqlite3.connect(path)
-
-    def cursor(self):
-        return _FakeCursor(self._con.cursor())
-
-    def commit(self):
-        self._con.commit()
-
-    def rollback(self):
-        self._con.rollback()
-
-
-@pytest.fixture()
-def pg_dsn(tmp_path):
-    db = str(tmp_path / "shared-metastore.db")
-    register_driver("fakepg", lambda dsn: _FakePostgres(db))
-    return f"fakepg://{db}", db
-
 
 def _mk(tmp_path, name, dsn):
     return Index.create(str(tmp_path / name), name, documents_doc_mapping(),
@@ -90,7 +48,7 @@ def test_pointer_autodetection_and_reopen(tmp_path, pg_dsn):
                     commit_id="x")
     # plain Manifest(dir) resolves the postgres backend via metastore.json
     m = Manifest(idx.index_dir)
-    assert m._backend == "postgres"
+    assert m._store.backend == "postgres"
     assert sum(s.num_docs for s in m.published_splits()) == 30
     # Index.open + search work without backend hints
     assert Index.open(idx.index_dir).search("*", max_hits=50).num_hits == 30

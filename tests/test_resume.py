@@ -183,7 +183,7 @@ def test_sqlite_metastore_backend(tmp_path):
     # duplicate partition commit no-ops
     m.publish([SplitMetadata("dup", "sx", 1, 1)], checkpoint_partition="p1")
     m2 = Manifest(d)  # auto-detects sqlite via metastore.db
-    assert m2._backend == "sqlite"
+    assert m2._store.backend == "sqlite"
     assert m2.index_config_json == {"index_id": "sx"}
     assert sorted(s.split_id for s in m2.published_splits()) == ["s2", "s3"]
     assert m2.splits["s1"].split_state == "marked_for_deletion"
@@ -225,56 +225,101 @@ def test_sqlite_metastore_end_to_end(tmp_path):
     assert st.num_docs == 0
 
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 
 @given(st.lists(st.tuples(st.sampled_from(["publish", "mark", "delete",
-                                           "stream", "task"]),
+                                           "stream", "task", "replace",
+                                           "config", "shard", "source",
+                                           "reset", "clear"]),
                           st.integers(0, 9)), min_size=1, max_size=25))
-@settings(max_examples=25, deadline=None)
-def test_manifest_backends_equivalent(tmp_path_factory, ops):
-    """Property: any op sequence leaves the file (append-log) and sqlite
-    backends in identical reloaded states."""
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_manifest_backends_equivalent(tmp_path_factory, pg_dsn, ops):
+    """Property: any op sequence leaves the file (append-log), sqlite,
+    postgres (fake driver) and object-snapshot stores in identical
+    reloaded states, with identical errors along the way."""
+    import uuid
+
+    from quickwit_ray import storage
     from quickwit_ray.state.manifest import Manifest, SplitMetadata
 
+    dsn, _ = pg_dsn
     dirs = [str(tmp_path_factory.mktemp("file_be")),
-            str(tmp_path_factory.mktemp("sql_be"))]
+            str(tmp_path_factory.mktemp("sql_be")),
+            str(tmp_path_factory.mktemp("pg_be")),
+            f"mock-s3://equiv-{uuid.uuid4().hex[:10]}/idx"]
     ms = [Manifest(dirs[0], backend="file"),
-          Manifest(dirs[1], backend="sqlite")]
+          Manifest(dirs[1], backend="sqlite"),
+          Manifest(dirs[2], backend="postgres", dsn=dsn),
+          Manifest(dirs[3], backend="object")]
     for m in ms:
         m.create({"index_id": "x"})
     offsets = {0: 0}
-    for i, (kind, n) in enumerate(ops):
-        for m in ms:
-            if kind == "publish":
-                m.publish([SplitMetadata(f"s{i}_{n}", "x", n + 1, 10)],
-                          checkpoint_partition=f"p{i}")
-            elif kind == "mark":
-                m.mark_for_deletion([f"s{n}_{n}"])
-            elif kind == "delete":
-                m.delete_splits([f"s{n}_{n}"])
-            elif kind == "stream":
-                frm = offsets.get(0, 0)
+
+    def do(m, i, kind, n):
+        if kind == "publish":
+            m.publish([SplitMetadata(f"s{i}_{n}", "x", n + 1, 10)],
+                      checkpoint_partition=(f"src.a:{i}" if n % 2
+                                            else f"p{i}"))
+        elif kind == "mark":
+            m.mark_for_deletion([f"s{n}_{n}"])
+        elif kind == "delete":
+            m.delete_splits([f"s{n}_{n}"])
+        elif kind == "stream":
+            frm = offsets.get(0, 0)
+            m.publish_stream({"queue:0": (
+                [SplitMetadata(f"q{i}", "x", 1, 1)], frm, frm + n + 1)})
+        elif kind == "task":
+            m.create_delete_task(f"q{i}")
+        elif kind == "replace":
+            m.publish([SplitMetadata(f"r{i}", "x", n + 1, 10)],
+                      replaced_split_ids=[f"s{n}_{n}"])
+        elif kind == "config":
+            m.update_config({"index_id": "x", "rev": i})
+        elif kind == "shard":
+            [lambda: m.open_shard(f"sh{n % 2}", f"t{i}"),
+             lambda: m.acquire_shard(f"sh{n % 2}", f"t{i}"),
+             lambda: m.prune_shards(-1.0)][n % 3]()
+        elif kind == "source":
+            [lambda: m.add_source({"source_id": f"src{n % 2}",
+                                   "enabled": True}),
+             lambda: m.toggle_source(f"src{n % 2}", bool(n % 2)),
+             lambda: m.delete_source(f"src{n % 2}")][n % 3]()
+        elif kind == "reset":
+            m.reset_source_checkpoint("a")
+        elif kind == "clear":
+            m.clear()
+
+    try:
+        for i, (kind, n) in enumerate(ops):
+            errors = set()
+            for m in ms:
                 try:
-                    m.publish_stream({"queue:0": (
-                        [SplitMetadata(f"q{i}", "x", 1, 1)], frm, frm + n + 1)})
-                except ValueError:
-                    pass
-            elif kind == "task":
-                m.create_delete_task(f"q{i}")
-        if kind == "stream":
-            offsets[0] = offsets.get(0, 0) + n + 1
+                    do(m, i, kind, n)
+                    errors.add(None)
+                except (ValueError, KeyError) as e:
+                    errors.add(type(e).__name__)
+            assert len(errors) == 1, (kind, errors)
+            if kind == "stream":
+                offsets[0] = offsets.get(0, 0) + n + 1
 
-    def state(d):
-        m = Manifest(d)
-        return (sorted((s.split_id, s.split_state, s.num_docs)
-                       for s in m.splits.values()),
-                {k: v.get("offset") for k, v in m.checkpoints.items()},
-                [(t["opstamp"], t["query"]) for t in m.delete_tasks],
-                m.index_config_json)
+        def state(d):
+            m = Manifest(d)
+            return (sorted((s.split_id, s.split_state, s.num_docs)
+                           for s in m.splits.values()),
+                    {k: v.get("offset") for k, v in m.checkpoints.items()},
+                    [(t["opstamp"], t["query"]) for t in m.delete_tasks],
+                    m.index_config_json,
+                    {k: v["token"] for k, v in m.shards.items()},
+                    m.sources)
 
-    assert state(dirs[0]) == state(dirs[1])
+        first = state(dirs[0])
+        for d in dirs[1:]:
+            assert state(d) == first, d
+    finally:
+        storage.rmtree(dirs[3], ignore_errors=True)
 
 
 def test_manifest_incremental_refresh(tmp_path):
@@ -290,13 +335,13 @@ def test_manifest_incremental_refresh(tmp_path):
     a.publish([SplitMetadata("s0", "x", 5, 50)], checkpoint_partition="p0")
 
     b = Manifest(d)  # fresh reader: current as of s0
-    off0 = b._log_offset
+    off0 = b._store.log_offset
     # writer A appends two more ops behind B's back
     a.publish([SplitMetadata("s1", "x", 5, 50)], checkpoint_partition="p1")
     a.publish([SplitMetadata("s2", "x", 5, 50)], checkpoint_partition="p2")
-    with b._writer_lock():
-        b._refresh_file_locked()
-    assert b._log_offset > off0
+    with b._store.locked():
+        b._store.refresh(b)
+    assert b._store.log_offset > off0
     assert {s.split_id for s in b.published_splits()} == {"s0", "s1", "s2"}
     # the refreshed instance can now CAS-replace a split A published
     b.publish([SplitMetadata("m0", "x", 10, 100)],
@@ -310,8 +355,8 @@ def test_manifest_incremental_refresh(tmp_path):
     b2 = Manifest(d)
     a2.publish([SplitMetadata("s3", "x", 1, 10)], checkpoint_partition="p3")
     b2.publish([SplitMetadata("s4", "x", 1, 10)], checkpoint_partition="p4")
-    with b2._writer_lock():
-        b2._refresh_file_locked()
+    with b2._store.locked():
+        b2._store.refresh(b2)
     assert "s3" in {s.split_id for s in b2.published_splits()}
 
     # compaction invalidates the snapshot signature -> full reload path
@@ -323,8 +368,8 @@ def test_manifest_incremental_refresh(tmp_path):
                    checkpoint_partition="p5")  # triggers compaction
     finally:
         man_mod.COMPACT_EVERY = old
-    with b2._writer_lock():
-        b2._refresh_file_locked()
+    with b2._store.locked():
+        b2._store.refresh(b2)
     assert "s5" in {s.split_id for s in b2.published_splits()}
     assert b2.index_config_json["index_id"] == "x"
 
