@@ -560,9 +560,13 @@ class IndexApiService:
 
         for name in sorted(self.indexes):
             # the cached searcher's manifest: a scrape with no commit in
-            # between loads nothing
-            splits = get_searcher(
-                self.indexes[name].index_dir).manifest.published_splits()
+            # between loads nothing; an index deleted behind the
+            # registry's back reports 0 instead of failing the scrape
+            try:
+                splits = get_searcher(
+                    self.indexes[name].index_dir).manifest.published_splits()
+            except FileNotFoundError:
+                splits = []
             lines.append(f'quickwit_index_num_docs{{index="{name}"}} '
                          f"{sum(s.num_docs for s in splits)}")
             lines.append(f'quickwit_index_num_splits{{index="{name}"}} '

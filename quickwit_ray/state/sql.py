@@ -30,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import time
+import secrets
 from typing import Any, Callable, Optional
 
 from quickwit_ray.state.manifest import GenerationConflict, SplitMetadata
@@ -106,10 +106,14 @@ class SqlStore:
     latter scopes every row by ``index_uid``).
 
     A ``meta`` row keyed ``generation`` counts commits (missing = 0, so
-    DBs written before it existed open unchanged). ``commit`` bumps it
+    DBs written before it existed open unchanged). A commit that finds
+    it missing (a new, pre-generation or dropped index) inserts a random
+    seed instead of 1, so an index recreated at a dropped one's path
+    never re-walks the old counter: a Manifest loaded or a searcher
+    cached before the drop never passes for current. ``commit`` bumps it
     as the transaction's FIRST write and reads it back: anything but
-    expected + 1 means another writer committed since this instance's
-    refresh, so the transaction rolls back with
+    the expected value means another writer committed since this
+    instance's refresh, so the transaction rolls back with
     :class:`GenerationConflict` and the manifest re-derives the op from
     fresh state. The bump holds the row's write lock until commit, so
     every check ``Manifest`` made on the refreshed state (split-state
@@ -118,7 +122,7 @@ class SqlStore:
     ``rollback`` are used from the DBAPI connection."""
 
     def __init__(self, connect: Callable[[], Any], dialect: str,
-                 index_uid: str = "", marker: str = "", ident: Any = None,
+                 index_uid: str = "", marker: str = "",
                  pointer: Optional[tuple[str, str, str]] = None):
         assert dialect in ("sqlite", "postgres")
         self._connect = connect
@@ -126,7 +130,6 @@ class SqlStore:
         self.backend = dialect
         self.index_uid = index_uid
         self.marker = marker  # the file whose presence marks the index
-        self.ident = ident  # tells DBs (or pointers) at one path apart
         self.pointer = pointer  # (index_dir, dsn, uid) written at create
         self.gen: Optional[int] = None  # generation of the loaded state
         self._p = "?" if dialect == "sqlite" else "%s"
@@ -156,7 +159,6 @@ class SqlStore:
 
         return cls(lambda: connect_dsn(dsn), "postgres", uid,
                    marker=storage.join(index_dir, "metastore.json"),
-                   ident=tuple(sorted(ptr.items())),
                    pointer=(index_dir, dsn, uid))
 
     @property
@@ -208,15 +210,10 @@ class SqlStore:
     def locked(self):
         return contextlib.nullcontext()
 
-    def generation(self):
-        if self.ident is None:  # sqlite: the DB file's identity
-            st = os.stat(self.marker)
-            ident = (st.st_ino, st.st_ctime_ns)
-        else:
-            ident = self.ident
+    def generation(self) -> int:
         gen = self._generation(self.conn.cursor())
         self.conn.rollback()  # end the read (postgres opens one)
-        return ident, gen
+        return gen
 
     def load(self, m) -> None:
         if self.backend == "sqlite" and not os.path.exists(self.marker):
@@ -240,6 +237,9 @@ class SqlStore:
 
     def refresh(self, m) -> None:
         gen = self._generation(self.conn.cursor())
+        # end the read now: the op may turn out a no-op or refuse, and a
+        # postgres connection must not idle inside a transaction
+        self.conn.rollback()
         if gen != self.gen:
             m._reset_state()
             self.load(m)
@@ -248,10 +248,14 @@ class SqlStore:
         if op["op"] == "create" and self.pointer is not None:
             write_pointer(*self.pointer)
         expected, self.gen = self.gen, None  # unknown until the tx lands
+        # a missing row starts at a random seed, not at 1: a recreated
+        # index never re-walks the counter of the one dropped in its place
+        seed = secrets.randbelow(1 << 62) + 1
+        want = expected + 1 if expected else seed
         with _Tx(self.conn) as cur:
-            self._upsert(cur, "meta", ("generation", "1"),
+            self._upsert(cur, "meta", ("generation", str(seed)),
                          "CAST(CAST(meta.value AS BIGINT) + 1 AS TEXT)")
-            if self._generation(cur) != expected + 1:
+            if self._generation(cur) != want:
                 raise GenerationConflict(self.index_uid)
             for table, key in changed:
                 value = _row_value(m, table, key)
@@ -262,13 +266,14 @@ class SqlStore:
                 else:
                     self._upsert(cur, table, (key, value),
                                  f"EXCLUDED.{_COLS[table][1]}")
-        self.gen = expected + 1
+        self.gen = want
 
     def drop(self) -> None:
         with _Tx(self.conn) as cur:
             for table in _COLS:
                 cur.execute(f"DELETE FROM {table}{self._where(())}",
                             self._scope(()))
+        self.gen = None  # reload before the next commit
 
 
 def _row_value(m, table: str, key) -> Optional[str]:
@@ -321,15 +326,12 @@ def _index_uid(index_dir: str) -> str:
 def write_pointer(index_dir: str, dsn: str,
                   index_uid: Optional[str] = None) -> None:
     """Pin the DSN (and the row-scope uid, so the artifact dir can move
-    or be mounted at another path without orphaning its rows). The
-    ``created`` stamp tells an index recreated at the same path from the
-    dropped one in ``SqlStore.generation``. Storage-
+    or be mounted at another path without orphaning its rows). Storage-
     aware: the pointer may live on object storage next to the artifacts
     (the reference's PG-metastore + S3-artifacts layout)."""
     from quickwit_ray import storage
 
-    obj: dict[str, Any] = {"backend": "postgres", "dsn": dsn,
-                           "created": time.time()}
+    obj: dict[str, Any] = {"backend": "postgres", "dsn": dsn}
     if index_uid is not None:
         obj["index_uid"] = index_uid
     storage.makedirs(index_dir)

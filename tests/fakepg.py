@@ -14,7 +14,8 @@ BEFORE_WRITE: list = []
 
 
 class _FakeCursor:
-    def __init__(self, cur):
+    def __init__(self, conn, cur):
+        self._conn = conn
         self._cur = cur
 
     def execute(self, sql, params=()):
@@ -25,6 +26,9 @@ class _FakeCursor:
                 ("INSERT", "UPDATE", "DELETE")):
             BEFORE_WRITE.pop(0)()
         self._cur.execute(sql.replace("%s", "?"), params)
+        # postgres opens a transaction at the first statement, SELECT
+        # included (sqlite does not): track it like a server would
+        self._conn.in_transaction = True
 
     def fetchall(self):
         return self._cur.fetchall()
@@ -36,12 +40,15 @@ class _FakePostgres:
 
     def __init__(self, path):
         self._con = sqlite3.connect(path)
+        self.in_transaction = False
 
     def cursor(self):
-        return _FakeCursor(self._con.cursor())
+        return _FakeCursor(self, self._con.cursor())
 
     def commit(self):
         self._con.commit()
+        self.in_transaction = False
 
     def rollback(self):
         self._con.rollback()
+        self.in_transaction = False

@@ -158,13 +158,24 @@ def test_metrics_scrape_reads_cached_state(tmp_path, monkeypatch):
     idx = Index.create(d, "docs", documents_doc_mapping(),
                        metastore="sqlite")
     Manifest(d).publish([SplitMetadata("s1", "docs", 7, 70)])
-    svc = IndexApiService({"docs": idx})
+    gone = Index.create(str(tmp_path / "gone"), "gone",
+                        documents_doc_mapping(), metastore="sqlite")
+    Manifest(gone.index_dir).publish([SplitMetadata("g1", "gone", 3, 30)])
+    svc = IndexApiService({"docs": idx, "gone": gone})
     st, _ = svc.request("GET", "metrics")
     assert st == 200
     calls = _count_loads(monkeypatch)
     st, body = svc.request("GET", "metrics")
     assert st == 200 and calls == []
     assert b'quickwit_index_num_docs{index="docs"} 7' in body.data
+    assert b'quickwit_index_num_docs{index="gone"} 3' in body.data
+    # an index deleted behind the registry's back reports 0, the scrape
+    # still answers for the others
+    storage.rmtree(gone.index_dir)
+    st, body = svc.request("GET", "metrics")
+    assert st == 200
+    assert b'quickwit_index_num_docs{index="docs"} 7' in body.data
+    assert b'quickwit_index_num_splits{index="gone"} 0' in body.data
 
 
 def test_sqlite_db_without_generation_row_opens_commits_and_caches(tmp_path):
@@ -190,9 +201,10 @@ def test_sqlite_db_without_generation_row_opens_commits_and_caches(tmp_path):
 @pytest.mark.parametrize("backend", ["sqlite", "postgres"])
 def test_recreated_index_not_served_from_dropped_ones_cache(tmp_path,
                                                             pg_dsn, backend):
-    """The SQL generation restarts when an index is dropped; a searcher
-    cached for the dropped index must not be served for its recreation at
-    the same path once the counter catches up."""
+    """A searcher cached for a dropped index must not be served for its
+    recreation at the same path: a sqlite index loses its DB (and its
+    generation counter) with its directory, a postgres drop keeps the
+    counter growing."""
     from quickwit_ray.index_api import IndexApiService
     from quickwit_ray.search.engine import get_searcher
 
@@ -212,3 +224,52 @@ def test_recreated_index_not_served_from_dropped_ones_cache(tmp_path,
     Manifest(d).publish([SplitMetadata("new", "docs", 1, 10)])
     assert [s.split_id for s in get_searcher(d).manifest.splits.values()] \
         == ["new"]
+
+
+def test_stale_postgres_manifest_reloads_after_drop_and_recreate(tmp_path,
+                                                                 pg_dsn):
+    """A Manifest loaded before its index was dropped and recreated at the
+    same path must not commit from the dropped index's state, however
+    many commits the recreated index has made."""
+    from quickwit_ray.index_api import IndexApiService
+
+    d = str(tmp_path / "idx")
+
+    def create() -> Index:
+        return Index.create(d, "docs", documents_doc_mapping(),
+                            metastore="postgres", metastore_dsn=pg_dsn[0])
+
+    idx = create()
+    Manifest(d).publish([SplitMetadata("old", "docs", 1, 10)])
+    stale = Manifest(d)
+    st, _ = IndexApiService({"docs": idx}).request("DELETE", "indexes/docs")
+    assert st == 200
+    create()
+    Manifest(d).publish([SplitMetadata("new", "docs", 1, 10)])
+    stale.publish([SplitMetadata("late", "docs", 1, 10)])
+    assert sorted(stale.splits) == ["late", "new"]
+    assert sorted(Manifest(d).splits) == ["late", "new"]
+
+
+def test_postgres_connection_not_left_in_transaction(tmp_path, pg_dsn):
+    """A commit that turns out a no-op or refuses ends the read it made:
+    a postgres connection idling inside a transaction is killed by
+    servers with an idle-in-transaction timeout."""
+    from quickwit_ray.state.manifest import generation
+
+    d = str(tmp_path / "idx")
+    m = Manifest(d, backend="postgres", dsn=pg_dsn[0])
+    m.create({"index_id": "x"})
+    m.publish([SplitMetadata("s1", "x", 1, 10)], checkpoint_partition="p0")
+    conn = m._store.conn
+    assert not conn.in_transaction
+    m.publish([SplitMetadata("dup", "x", 1, 10)], checkpoint_partition="p0")
+    assert not conn.in_transaction
+    with pytest.raises(StaleReplaceError):
+        m.publish([SplitMetadata("m", "x", 1, 10)],
+                  replaced_split_ids=["missing"])
+    assert not conn.in_transaction
+    assert m.prune_shards(60.0) == 0
+    assert not conn.in_transaction
+    generation(d)
+    assert sorted(Manifest(d).splits) == ["s1"]
