@@ -459,6 +459,7 @@ class SplitBuilder:
                                    "datetime", "ip")):
                 fast_like[f.name] = f
         fast_cols = {}
+        parsed = {}  # datetime columns parsed once per batch
         for fm in fast_like.values():
             if fm.name in batch.column_names:
                 col = batch[fm.name]
@@ -471,10 +472,8 @@ class SplitBuilder:
                         fast_cols[cname] = arr
                     continue
                 if fm.type == "datetime":
-                    if not pa.types.is_timestamp(
-                            col.type if not isinstance(col, pa.ChunkedArray)
-                            else col.type):
-                        col = _coerce_datetime(col, fm)
+                    if not pa.types.is_timestamp(col.type):
+                        col = parsed[fm.name] = _coerce_datetime(col, fm)
                     q = fm.fast_precision_us
                     if q > 1:
                         # fast_precision truncation (date_time_type.rs):
@@ -529,7 +528,8 @@ class SplitBuilder:
             self._fast_chunks.append(pa.table(fast_cols))
 
         if self.mapping.timestamp_field and self.mapping.timestamp_field in batch.column_names:
-            ts = batch[self.mapping.timestamp_field]
+            ts = parsed.get(self.mapping.timestamp_field,
+                            batch[self.mapping.timestamp_field])
             if not pa.types.is_timestamp(ts.type):
                 ts = _coerce_datetime(ts, self.mapping.resolve_field(
                     self.mapping.timestamp_field))

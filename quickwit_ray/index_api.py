@@ -601,12 +601,7 @@ class IndexApiService:
         """OTLP HTTP ingest (otlp_api/rest_handler.rs: POST
         [{index}/]otlp/v1/logs|traces, protobuf or JSON payload; default
         index ids otel-logs-v0_9 / otel-traces-v0_9)."""
-        from quickwit_ray.sources.ingest import (
-            parse_otlp_logs_json,
-            parse_otlp_logs_proto,
-            parse_otlp_spans_json,
-            parse_otlp_spans_proto,
-        )
+        from quickwit_ray.sources.ingest import decode_input
 
         if signal not in ("logs", "traces"):
             raise EsApiError(400, f"unknown OTLP signal {signal!r}")
@@ -619,12 +614,8 @@ class IndexApiService:
         ctype = params.get("_content_type", "")
         is_json = ("json" in ctype
                    or (not ctype and raw.lstrip()[:1] == b"{"))
-        if signal == "logs":
-            docs = (parse_otlp_logs_json(raw) if is_json
-                    else parse_otlp_logs_proto(raw))
-        else:
-            docs = (parse_otlp_spans_json(raw) if is_json
-                    else parse_otlp_spans_proto(raw))
+        docs = decode_input(
+            raw, f"otlp_{signal}_{'json' if is_json else 'protobuf'}")
         n = idx.ingest_docs(docs)
         # ExportLogsServiceResponse / ExportTraceServiceResponse: empty on
         # full success (partialSuccess omitted)
@@ -683,23 +674,26 @@ class IndexApiService:
     # -- ingest + search ----------------------------------------------------
 
     def _ingest(self, name: str, docs: list) -> dict:
+        import pyarrow.compute as pc
+
+        from quickwit_ray.sources.ingest import RejectedDocs, _docs_to_table
+
         idx = self._idx(name)
-        ts_field = idx.config.doc_mapping.timestamp_field
-        valid = []
+        mapping = idx.config.doc_mapping
         rejected = 0
-        for d in docs:
-            if not isinstance(d, dict):
-                rejected += 1
-                continue
+        try:
+            table = _docs_to_table(docs, mapping)
+        except RejectedDocs as e:
+            table, rejected = e.table, len(e.rejects)
+        if mapping.timestamp_field:
             # the doc processor rejects docs missing the timestamp field
             # (doc_processor.rs: a time-series index needs every doc on
             # the time axis for split pruning)
-            if ts_field and d.get(ts_field) is None:
-                rejected += 1
-                continue
-            valid.append(d)
-        if valid:
-            idx.ingest_docs(valid)
+            timed = table.filter(pc.is_valid(table[mapping.timestamp_field]))
+            rejected += table.num_rows - timed.num_rows
+            table = timed
+        if table.num_rows:
+            idx.ingest_docs(table)
         return {"num_docs_for_processing": len(docs),
                 "num_rejected_docs": rejected}
 

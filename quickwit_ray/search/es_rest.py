@@ -696,7 +696,7 @@ class EsRestService:
         for malformed action lines and missing-index validation."""
         import time as _time
 
-        from quickwit_ray.sources.ingest import validate_doc_fields
+        from quickwit_ray.sources.ingest import RejectedDocs, _docs_to_table
 
         t0 = _time.monotonic()
         lines = list(ndjson) if ndjson is not None else []
@@ -705,7 +705,7 @@ class EsRestService:
             lines = [json.loads(ln) for ln in payload.split("\n")
                      if ln.strip()]
         # -- parse action/doc pairs ------------------------------------
-        ops: list[tuple[str, Optional[str], Optional[str], dict]] = []
+        ops: list[tuple[str, Optional[str], Optional[str], Any]] = []
         i = 0
         while i < len(lines):
             line = lines[i]
@@ -725,9 +725,10 @@ class EsRestService:
             # the next line is ALWAYS the document for index/create
             doc = lines[i] if i < len(lines) else {}
             i += 1
-            ops.append((action, meta.get("_index", default_index),
-                        meta.get("_id"),
-                        doc if isinstance(doc, dict) else {}))
+            _id = meta.get("_id")
+            if _id is not None and isinstance(doc, dict):
+                doc = dict(doc, _id=_id)
+            ops.append((action, meta.get("_index", default_index), _id, doc))
         # -- request-level validation (ES collects ALL missing-index
         # actions before rejecting the whole request) ------------------
         missing = [k + 1 for k, (_, name, _, _) in enumerate(ops)
@@ -738,53 +739,51 @@ class EsRestService:
                 "Validation Failed: " + "".join(
                     f"{m}: index is missing;" for m in missing),
                 type="action_request_validation_exception")
-        # -- per-item processing ---------------------------------------
-        items: list[dict] = []
-        errors = False
-        to_ingest: dict[str, list[dict]] = {}
-        # Index.config reloads the manifest: read each target's mapping
-        # once per request, not once per doc
-        mappings: dict[str, Any] = {}
-        for action, name, _id, doc in ops:
+        # -- per-item statuses -----------------------------------------
+        items: list[dict[str, Any]] = []
+        targets: dict[str, list[int]] = {}
+        for k, (_action, name, _id, _doc) in enumerate(ops):
             item: dict[str, Any] = {"_index": name}
             if _id is not None:
                 item["_id"] = str(_id)
+            items.append(item)
             idx = self.indexes.get(name)
             if idx is None and self.index_factory is not None:
                 idx = self.index_factory(name)
                 if idx is not None:
                     self.indexes[name] = idx
             if idx is None:
-                errors = True
                 item["status"] = 404
                 item["error"] = {
                     "type": "index_not_found_exception",
                     "reason": f"no such index [{name}]",
                     "index": name}
-                items.append({action: item})
                 continue
-            if name not in mappings:
-                mappings[name] = idx.config.doc_mapping
-            err = validate_doc_fields(doc, mappings[name])
-            if err is not None:
-                errors = True
-                item["status"] = 400
-                item["error"] = {"type": "document_parsing_exception",
-                                 "reason": err}
-                items.append({action: item})
-                continue
-            d = dict(doc)
-            if _id is not None:
-                d["_id"] = _id
-            to_ingest.setdefault(name, []).append(d)
-            item["status"] = 201
-            item["result"] = "created"
-            items.append({action: item})
-        # one ingest (= one split before merges) per target index
-        for name, docs in to_ingest.items():
-            self.indexes[name].ingest_docs(docs)
+            targets.setdefault(name, []).append(k)
+        # one doc pass, then one ingest (= one split before merges), per
+        # target index; the pass names the docs the mapping refuses
+        for name, ks in targets.items():
+            idx = self.indexes[name]
+            rejects: dict[int, str] = {}
+            try:
+                table = _docs_to_table([ops[k][3] for k in ks],
+                                       idx.config.doc_mapping)
+            except RejectedDocs as e:
+                table, rejects = e.table, e.rejects
+            for j, k in enumerate(ks):
+                item = items[k]
+                if j in rejects:
+                    item["status"] = 400
+                    item["error"] = {"type": "document_parsing_exception",
+                                     "reason": rejects[j]}
+                else:
+                    item["status"] = 201
+                    item["result"] = "created"
+            if table.num_rows:
+                idx.ingest_docs(table)
         return {"took": int((_time.monotonic() - t0) * 1000),
-                "errors": errors, "items": items}
+                "errors": any(it["status"] != 201 for it in items),
+                "items": [{op[0]: it} for op, it in zip(ops, items)]}
 
     def _msearch(self, params: dict, lines: list) -> dict:
         if len(lines) % 2:

@@ -1,6 +1,6 @@
-"""Push ingestion + input-format decoding — the ingest-API front door.
+"""Push ingestion: input decoding, the doc pass, and the ingest fronts.
 
-Re-expresses:
+Decoding re-expresses:
   * ES `_bulk` NDJSON (reference `rest_handler.rs:71-294` routes `_bulk`
     into ingest v2): alternating action/doc lines; `index` and `create`
     actions supported, `delete`/`update` rejected (the reference's bulk
@@ -10,13 +10,27 @@ Re-expresses:
     key, doc_processor.rs:47), otlp_logs_json and otlp_traces_json
     (flattening per `quickwit-opentelemetry/src/otlp/logs.rs:396-505` and
     `traces.rs:184-245` — one doc per logRecord / span with the reference
-    model's field names).
+    model's field names), and the same two OTLP models as protobuf.
 
-`ingest_docs` turns a parsed doc list into one committed split (SplitBuilder
--> atomic manifest publish): one bulk call = one commit wave, mirroring the
-ingest API's commit-on-request semantics at this engine's granularity.
+The doc pass, `_docs_to_table`, is the only place a pushed doc meets its
+mapping (doc_mapper_impl.rs:433-561 as run by doc_processor.rs:464-508):
+one column-wise pass from parsed docs to a typed Arrow table. The
+conversion is the validation — each datetime column is parsed by one
+`parse_datetimes` call, each number column by one numeric coercion — and
+the docs that do not fit (not an object, unknown keys under a strict
+mapping, unparseable datetimes, non-numeric numbers, negative u64s) come
+back as `RejectedDocs` with a reason per position and the table of the
+rest. Every push front runs it once and keeps only its own policy for
+rejects: `_bulk` answers a per-item 400, native `{index}/ingest` counts
+them, and the Python API, the workbench, the WAL front and the mq/WAL
+consumers refuse the push.
+
+`ingest_docs` turns docs (or the pass's table) into one committed split
+(SplitBuilder -> atomic manifest publish): one bulk call = one commit
+wave, mirroring the ingest API's commit-on-request semantics at this
+engine's granularity. `IngestWorkbench` buffers the tables of many pushes
+into one commit wave.
 """
-
 from __future__ import annotations
 
 import base64
@@ -24,7 +38,11 @@ import json
 import time
 from typing import Any, Optional
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
+
+from quickwit_ray.functions.datetimes import parse_datetimes
 
 PLAIN_TEXT_FIELD = "plain_text"  # doc_processor.rs:47
 
@@ -379,213 +397,96 @@ def _pb_keyvalue(buf, _depth: int = 0) -> dict:
     return {"key": key, "value": val}
 
 
-def _pb_resource(buf) -> dict:
-    out: dict = {}
-    for fn, _wt, v in _pb_fields(buf):
-        if fn == 1:
-            out.setdefault("attributes", []).append(_pb_keyvalue(v))
-        elif fn == 2:
-            out["droppedAttributesCount"] = int(v)
-    return out
+def _pb_hex(v) -> str:
+    return bytes(v).hex()
 
 
-def _pb_scope(buf) -> dict:
-    out: dict = {}
-    for fn, _wt, v in _pb_fields(buf):
-        if fn == 1:
-            out["name"] = _pb_str(v)
-        elif fn == 2:
-            out["version"] = _pb_str(v)
-        elif fn == 3:
-            out.setdefault("attributes", []).append(_pb_keyvalue(v))
-        elif fn == 4:
-            out["droppedAttributesCount"] = int(v)
-    return out
+def _pb(spec: dict):
+    """A decoder for one protobuf message: ``spec`` maps each field
+    number to (proto-JSON key, value decoder); a bracketed key
+    (``"[attributes]"``) is a repeated field. Other fields are skipped."""
+    def decode(buf) -> dict:
+        out: dict = {}
+        for fn, _wt, v in _pb_fields(buf):
+            if fn in spec:
+                key, dec = spec[fn]
+                if key[0] == "[":
+                    out.setdefault(key[1:-1], []).append(dec(v))
+                else:
+                    out[key] = dec(v)
+        return out
+    return decode
 
 
-def _pb_log_record(buf) -> dict:
-    rec: dict = {}
-    attrs: list = []
-    for fn, _wt, v in _pb_fields(buf):
-        if fn == 1:
-            rec["timeUnixNano"] = _pb_fixed64(v)
-        elif fn == 2:
-            rec["severityNumber"] = int(v)
-        elif fn == 3:
-            rec["severityText"] = _pb_str(v)
-        elif fn == 5:
-            rec["body"] = _pb_anyvalue(v)
-        elif fn == 6:
-            attrs.append(_pb_keyvalue(v))
-        elif fn == 8:
-            rec["flags"] = int.from_bytes(v, "little")
-        elif fn == 9:
-            rec["traceId"] = bytes(v).hex()
-        elif fn == 10:
-            rec["spanId"] = bytes(v).hex()
-        elif fn == 11:
-            rec["observedTimeUnixNano"] = _pb_fixed64(v)
-    if attrs:
-        rec["attributes"] = attrs
-    return rec
+# logs.proto / trace.proto / resource.proto / common.proto field numbers
+_pb_resource = _pb({1: ("[attributes]", _pb_keyvalue),
+                    2: ("droppedAttributesCount", int)})
+_pb_scope = _pb({1: ("name", _pb_str), 2: ("version", _pb_str),
+                 3: ("[attributes]", _pb_keyvalue),
+                 4: ("droppedAttributesCount", int)})
+_pb_log_record = _pb({
+    1: ("timeUnixNano", _pb_fixed64), 2: ("severityNumber", int),
+    3: ("severityText", _pb_str), 5: ("body", _pb_anyvalue),
+    6: ("[attributes]", _pb_keyvalue),
+    8: ("flags", lambda v: int.from_bytes(v, "little")),
+    9: ("traceId", _pb_hex), 10: ("spanId", _pb_hex),
+    11: ("observedTimeUnixNano", _pb_fixed64)})
+_pb_span = _pb({
+    1: ("traceId", _pb_hex), 2: ("spanId", _pb_hex),
+    3: ("traceState", _pb_str), 4: ("parentSpanId", _pb_hex),
+    5: ("name", _pb_str), 6: ("kind", int),
+    7: ("startTimeUnixNano", _pb_fixed64),
+    8: ("endTimeUnixNano", _pb_fixed64),
+    9: ("[attributes]", _pb_keyvalue), 10: ("droppedAttributesCount", int),
+    11: ("[events]", _pb({1: ("timeUnixNano", _pb_fixed64),
+                          2: ("name", _pb_str),
+                          3: ("[attributes]", _pb_keyvalue),
+                          4: ("droppedAttributesCount", int)})),
+    12: ("droppedEventsCount", int),
+    13: ("[links]", _pb({1: ("traceId", _pb_hex), 2: ("spanId", _pb_hex),
+                         3: ("traceState", _pb_str),
+                         4: ("[attributes]", _pb_keyvalue),
+                         5: ("droppedAttributesCount", int)})),
+    14: ("droppedLinksCount", int),
+    15: ("status", _pb({2: ("message", _pb_str), 3: ("code", int)}))})
+
+
+def _pb_export(payload: bytes, what: str, keys: tuple[str, str, str],
+               decode_item, to_docs) -> list[dict[str, Any]]:
+    """An Export{Logs,Trace}ServiceRequest protobuf -> the docs its
+    proto-JSON tree builds (logs.proto / trace.proto share the shape:
+    request: resource entries=1; entry: resource=1, scope entries=2;
+    scope entry: scope=1, items=2; ``keys`` names the three lists). The
+    parse boundary for untrusted wire bytes: malformed varints /
+    truncated length-delimited fields / wire-type mismatches raise
+    ValueError (the gRPC/HTTP layer answers 400), never a raw
+    Index/TypeError (fuzz-hardened)."""
+    root, scopes, items = keys
+    entry = _pb({1: ("resource", _pb_resource), 2: (f"[{scopes}]", _pb(
+        {1: ("scope", _pb_scope), 2: (f"[{items}]", decode_item)}))})
+    try:
+        return to_docs({root: _pb({1: (f"[{root}]", entry)})(payload)
+                        .get(root, [])})
+    except ValueError:
+        raise
+    except (IndexError, TypeError, OverflowError, MemoryError,
+            RecursionError) as e:
+        raise ValueError(
+            f"malformed OTLP {what} protobuf: {type(e).__name__}: {e}") from e
 
 
 def parse_otlp_logs_proto(payload: bytes) -> list[dict[str, Any]]:
-    """Parse boundary for untrusted OTLP wire bytes: malformed varints /
-    truncated length-delimited fields / wire-type mismatches raise
-    ValueError (the gRPC/HTTP layer answers 400), never a raw
-    Index/TypeError (fuzz-hardened)."""
-    try:
-        return _parse_otlp_logs_proto(payload)
-    except ValueError:
-        raise
-    except (IndexError, TypeError, OverflowError, MemoryError,
-            RecursionError) as e:
-        raise ValueError(
-            f"malformed OTLP logs protobuf: {type(e).__name__}: {e}") from e
-
-
-def _parse_otlp_logs_proto(payload: bytes) -> list[dict[str, Any]]:
-    """ExportLogsServiceRequest protobuf -> same docs as the JSON parser
-    (logs.proto: LogsData.resource_logs=1; ResourceLogs.resource=1,
-    .scope_logs=2; ScopeLogs.scope=1, .log_records=2)."""
-    resource_logs = []
-    for fn, _wt, v in _pb_fields(payload):
-        if fn != 1:
-            continue
-        rl: dict = {}
-        for f2, _w2, v2 in _pb_fields(v):
-            if f2 == 1:
-                rl["resource"] = _pb_resource(v2)
-            elif f2 == 2:
-                sl: dict = {}
-                for f3, _w3, v3 in _pb_fields(v2):
-                    if f3 == 1:
-                        sl["scope"] = _pb_scope(v3)
-                    elif f3 == 2:
-                        sl.setdefault("logRecords", []).append(
-                            _pb_log_record(v3))
-                rl.setdefault("scopeLogs", []).append(sl)
-        resource_logs.append(rl)
-    return _otlp_logs_docs({"resourceLogs": resource_logs})
-
-
-def _pb_span_event(buf) -> dict:
-    """trace.proto Span.Event: time_unix_nano=1 (fixed64), name=2,
-    attributes=3, dropped_attributes_count=4."""
-    ev: dict = {}
-    for fn, _wt, v in _pb_fields(buf):
-        if fn == 1:
-            ev["timeUnixNano"] = _pb_fixed64(v)
-        elif fn == 2:
-            ev["name"] = _pb_str(v)
-        elif fn == 3:
-            ev.setdefault("attributes", []).append(_pb_keyvalue(v))
-        elif fn == 4:
-            ev["droppedAttributesCount"] = int(v)
-    return ev
-
-
-def _pb_span_link(buf) -> dict:
-    """trace.proto Span.Link: trace_id=1, span_id=2, trace_state=3,
-    attributes=4, dropped_attributes_count=5."""
-    lk: dict = {}
-    for fn, _wt, v in _pb_fields(buf):
-        if fn == 1:
-            lk["traceId"] = bytes(v).hex()
-        elif fn == 2:
-            lk["spanId"] = bytes(v).hex()
-        elif fn == 3:
-            lk["traceState"] = _pb_str(v)
-        elif fn == 4:
-            lk.setdefault("attributes", []).append(_pb_keyvalue(v))
-        elif fn == 5:
-            lk["droppedAttributesCount"] = int(v)
-    return lk
-
-
-def _pb_span(buf) -> dict:
-    sp: dict = {}
-    attrs: list = []
-    for fn, _wt, v in _pb_fields(buf):
-        if fn == 1:
-            sp["traceId"] = bytes(v).hex()
-        elif fn == 2:
-            sp["spanId"] = bytes(v).hex()
-        elif fn == 3:
-            sp["traceState"] = _pb_str(v)
-        elif fn == 4:
-            sp["parentSpanId"] = bytes(v).hex()
-        elif fn == 5:
-            sp["name"] = _pb_str(v)
-        elif fn == 6:
-            sp["kind"] = int(v)
-        elif fn == 7:
-            sp["startTimeUnixNano"] = _pb_fixed64(v)
-        elif fn == 8:
-            sp["endTimeUnixNano"] = _pb_fixed64(v)
-        elif fn == 9:
-            attrs.append(_pb_keyvalue(v))
-        elif fn == 10:
-            sp["droppedAttributesCount"] = int(v)
-        elif fn == 11:
-            sp.setdefault("events", []).append(_pb_span_event(v))
-        elif fn == 12:
-            sp["droppedEventsCount"] = int(v)
-        elif fn == 13:
-            sp.setdefault("links", []).append(_pb_span_link(v))
-        elif fn == 14:
-            sp["droppedLinksCount"] = int(v)
-        elif fn == 15:
-            status: dict = {}
-            for f2, _w2, v2 in _pb_fields(v):
-                if f2 == 2:
-                    status["message"] = _pb_str(v2)
-                elif f2 == 3:
-                    status["code"] = int(v2)
-            sp["status"] = status
-    if attrs:
-        sp["attributes"] = attrs
-    return sp
+    """ExportLogsServiceRequest protobuf -> same docs as the JSON parser."""
+    return _pb_export(payload, "logs",
+                      ("resourceLogs", "scopeLogs", "logRecords"),
+                      _pb_log_record, _otlp_logs_docs)
 
 
 def parse_otlp_spans_proto(payload: bytes) -> list[dict[str, Any]]:
-    """Parse boundary for untrusted OTLP wire bytes: malformed varints /
-    truncated length-delimited fields / wire-type mismatches raise
-    ValueError (the gRPC/HTTP layer answers 400), never a raw
-    Index/TypeError (fuzz-hardened)."""
-    try:
-        return _parse_otlp_spans_proto(payload)
-    except ValueError:
-        raise
-    except (IndexError, TypeError, OverflowError, MemoryError,
-            RecursionError) as e:
-        raise ValueError(
-            f"malformed OTLP trace protobuf: {type(e).__name__}: {e}") from e
-
-
-def _parse_otlp_spans_proto(payload: bytes) -> list[dict[str, Any]]:
-    """ExportTraceServiceRequest protobuf -> same docs as the JSON parser
-    (trace.proto: TracesData.resource_spans=1; ResourceSpans.resource=1,
-    .scope_spans=2; ScopeSpans.scope=1, .spans=2)."""
-    resource_spans = []
-    for fn, _wt, v in _pb_fields(payload):
-        if fn != 1:
-            continue
-        rs: dict = {}
-        for f2, _w2, v2 in _pb_fields(v):
-            if f2 == 1:
-                rs["resource"] = _pb_resource(v2)
-            elif f2 == 2:
-                ss: dict = {}
-                for f3, _w3, v3 in _pb_fields(v2):
-                    if f3 == 1:
-                        ss["scope"] = _pb_scope(v3)
-                    elif f3 == 2:
-                        ss.setdefault("spans", []).append(_pb_span(v3))
-                rs.setdefault("scopeSpans", []).append(ss)
-        resource_spans.append(rs)
-    return _otlp_spans_docs({"resourceSpans": resource_spans})
+    """ExportTraceServiceRequest protobuf -> same docs as the JSON parser."""
+    return _pb_export(payload, "trace",
+                      ("resourceSpans", "scopeSpans", "spans"),
+                      _pb_span, _otlp_spans_docs)
 
 
 def decode_input(payload: bytes | str, input_format: str = "json"
@@ -614,98 +515,108 @@ def decode_input(payload: bytes | str, input_format: str = "json"
 # push ingestion into an index
 # ---------------------------------------------------------------------------
 
-def _split_known_keys(keys: list[str], mapping) -> tuple[list[str], list[str]]:
-    """Partition doc keys into (known, unknown-non-meta) for a non-dynamic
-    mapping. Dotted paths are legal only when rooted at a mapped json
-    field; `_id` is bulk-action metadata, never a schema violation."""
-    mapped = {f.name for f in mapping.field_mappings}
-    mapped.add(mapping.doc_id_field)
-
-    def _known(k: str) -> bool:
-        return (k in mapped
-                or ("." in k and mapping.resolve_json_path(k) is not None))
-
-    known = [k for k in keys if _known(k)]
-    unknown = [k for k in keys if not _known(k) and k != "_id"]
-    return known, unknown
+#: Arrow type of a mapped field no doc of the batch carries (strict mode
+#: rejects UNKNOWN doc keys, not missing ones)
+_NULL_TYPES = {"text": pa.string(), "i64": pa.int64(), "u64": pa.uint64(),
+               "f64": pa.float64(), "bool": pa.bool_(),
+               "datetime": pa.timestamp("us"), "bytes": pa.binary(),
+               "ip": pa.string(), "json": pa.string()}
 
 
-def validate_doc_fields(doc: dict[str, Any], mapping) -> Optional[str]:
-    """Per-document type validation for the ES `_bulk` item path (the
-    reference's doc processor parses each doc against the mapping and
-    reports a per-item `document_parsing_exception`). Returns an error
-    string, or None when the doc parses."""
-    for fm in mapping.field_mappings:
-        v = doc.get(fm.name)
-        if v is None:
-            continue
-        if fm.type == "datetime":
-            if isinstance(v, (int, float)):
-                continue
-            from quickwit_ray.functions.datetimes import parse_datetimes
+class RejectedDocs(ValueError):
+    """Some docs do not fit the mapping. ``rejects`` maps the position of
+    each refused doc to its reason; ``table`` holds every other doc,
+    converted by the same pass. A front that refuses the whole push lets
+    this propagate; `_bulk` and native ingest go on with ``table``."""
 
-            formats = fm.input_formats or ("rfc3339", "unix_timestamp")
-            import numpy as _np
+    def __init__(self, rejects: dict[int, str], table: pa.Table):
+        self.rejects, self.table = rejects, table
+        first = min(rejects)
+        super().__init__(f"{len(rejects)} doc(s) refused; doc {first}: "
+                         f"{rejects[first]}")
 
-            us = parse_datetimes([v], formats)
-            if _np.isnan(us[0]):
-                return (f"failed to parse datetime field `{fm.name}` "
-                        f"with value `{v}`")
-        elif fm.type in ("u64", "i64", "f64"):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                try:
-                    float(v)
-                except (TypeError, ValueError):
-                    return (f"failed to parse {fm.type} field `{fm.name}` "
-                            f"with value `{v}`")
-            if fm.type == "u64" and isinstance(v, int) and v < 0:
-                return (f"failed to parse u64 field `{fm.name}` "
-                        f"with value `{v}`")
+
+def _infer(vals: list) -> Optional[pa.Array]:
+    """Arrow's own inference of a column, or None when its values mix
+    JSON types (rfc3339 strings beside unix ints, "2.5" beside numbers).
+    Ints beyond i64 (the u64 upper half, e.g. 18e18 doc ids) overflow
+    the default int64 inference and retry as uint64."""
+    for typ in (None, pa.uint64()):
+        try:
+            return pa.array(vals, typ)
+        except (OverflowError, pa.ArrowInvalid, pa.ArrowTypeError):
+            pass
     return None
 
 
-def validate_push_keys(docs: list[dict[str, Any]], mapping) -> None:
-    """Push-time strict-mode key validation so a bad doc fails the PUSH
-    that carried it, not a later workbench commit holding other callers'
-    docs (reference doc_processor.rs validates per document)."""
-    if mapping.mode != "strict":
-        return
-    keys = sorted({k for d in docs for k in d})
-    _, unknown = _split_known_keys(keys, mapping)
-    if unknown:
-        raise ValueError(
-            f"strict doc mapping: unknown fields {sorted(unknown)[:5]} "
-            "(use mode=lenient to drop them, dynamic to index them)")
+def _check_column(fm, vals: list) -> tuple[np.ndarray, np.ndarray]:
+    """Convert a datetime or number column at once: (values as float64,
+    mask of the values the field refuses). Datetimes take ONE
+    `parse_datetimes` call (epoch µs) and numbers are unix timestamps
+    there, never refused; a number must parse and a u64 must not be
+    negative."""
+    if fm.type == "datetime":
+        us = parse_datetimes(vals, fm.input_formats
+                             or ("rfc3339", "unix_timestamp"))
+        text = np.fromiter((v is not None and not isinstance(v, (int, float))
+                            for v in vals), bool, len(vals))
+        return us, text & np.isnan(us)
+    num = pd.to_numeric(pd.Series(vals, dtype=object),
+                        errors="coerce").to_numpy(np.float64)
+    bad = np.isnan(num) & np.fromiter((v is not None for v in vals), bool,
+                                      len(vals))
+    return num, (bad | (num < 0)) if fm.type == "u64" else bad
 
 
-def _docs_to_table(docs: list[dict[str, Any]], mapping) -> pa.Table:
-    """Docs -> an Arrow table restricted to mapped columns (dynamic mode
-    keeps every key). json-typed columns are re-serialized to strings."""
-    keys: list[str] = []
-    seen = set()
-    for d in docs:
-        for k in d:
-            if k not in seen:
-                seen.add(k)
-                keys.append(k)
+def _docs_to_table(docs: list, mapping) -> pa.Table:
+    """The doc pass: parsed docs -> one Arrow table of the mapped columns
+    (dynamic mode keeps every key), checked and converted column by column
+    (doc_mapper_impl.rs:433-561 as run by doc_processor.rs:464-508).
+
+    A doc is refused when it is not a JSON object, carries keys a strict
+    mapping lacks, or holds a value its datetime or number field cannot
+    take (`_check_column`). Refused docs raise `RejectedDocs` with their
+    reasons and the table of the others. A column keeps its values as
+    pushed; only a column mixing value forms takes the converted values
+    (timestamp[us], float64). json-typed columns are re-serialized to
+    strings."""
+    rejects: dict[int, str] = {}
+    keys: dict[str, None] = {}
+    for i, d in enumerate(docs):
+        if isinstance(d, dict):
+            keys.update(dict.fromkeys(d))
+        else:
+            rejects[i] = "the document is not a JSON object"
+    if rejects:
+        docs = [d if isinstance(d, dict) else {} for d in docs]
+    names = list(keys)
+    fields = {f.name: f for f in mapping.field_mappings}
     if mapping.mode != "dynamic":
-        keys, unknown = _split_known_keys(keys, mapping)
+        # dotted keys are legal only when rooted at a mapped json field;
+        # `_id` is bulk-action metadata, never a schema violation
+        mapped = set(fields) | {mapping.doc_id_field}
+        names = [k for k in names if k in mapped or (
+            "." in k and mapping.resolve_json_path(k) is not None)]
+        unknown = set(keys) - set(names) - {"_id"}
         if unknown and mapping.mode == "strict":
-            raise ValueError(
-                f"strict doc mapping: unknown fields {sorted(unknown)[:5]} "
-                "(use mode=lenient to drop them, dynamic to index them)")
+            for i, d in enumerate(docs):
+                found = sorted(unknown.intersection(d))[:5]
+                if found:
+                    rejects.setdefault(
+                        i, f"strict doc mapping: unknown fields {found} "
+                           "(use mode=lenient to drop them, dynamic to "
+                           "index them)")
     # Fold dotted keys rooted at a mapped json field into the parent json
     # object (expand_dots semantics, field_mapping_entry.rs:578): `props.k`
     # merges {'k': v} into the `props` column instead of becoming a
     # standalone column the split writer would silently drop. An EXPLICIT
     # mapping with the dotted name wins (mapped fields first,
     # query_builder.rs:84-141) and stays a standalone column.
-    explicit = {f.name for f in mapping.field_mappings}
-    dotted = [k for k in keys
-              if "." in k and k not in explicit
+    dotted = [k for k in names
+              if "." in k and k not in fields
               and mapping.resolve_json_path(k) is not None]
     if dotted:
-        keys = [k for k in keys if k not in dotted]
+        names = [k for k in names if k not in dotted]
         docs = [dict(d) for d in docs]  # don't mutate caller's docs
         for d in docs:
             for k in list(d.keys()):
@@ -724,52 +635,74 @@ def _docs_to_table(docs: list[dict[str, Any]], mapping) -> pa.Table:
                     node = nxt
                 node[parts[-1]] = d.pop(k)
                 d[fm.name] = obj
-                if fm.name not in keys:
-                    keys.append(fm.name)
+                if fm.name not in names:
+                    names.append(fm.name)
+    converted = {}
+    for k in names:
+        fm = fields.get(k)
+        if fm is not None and fm.type in ("datetime", "i64", "u64", "f64"):
+            vals = [d.get(k) for d in docs]
+            converted[k], bad = _check_column(fm, vals)
+            for i in np.flatnonzero(bad):
+                rejects.setdefault(int(i), f"failed to parse {fm.type} field "
+                                           f"`{k}` with value `{vals[i]}`")
+    keep = np.ones(len(docs), bool)
+    keep[list(rejects)] = False
+    if rejects:
+        docs = [d for d, ok in zip(docs, keep) if ok]
     cols = {}
-    json_fields = {f.name for f in mapping.field_mappings if f.type == "json"}
-    for k in keys:
+    for k in names:
         vals = [d.get(k) for d in docs]
-        if k in json_fields:
-            vals = [json.dumps(v, separators=(",", ":"))
-                    if v is not None else None for v in vals]
-            cols[k] = pa.array(vals, pa.string())
-        else:
-            try:
-                cols[k] = pa.array(vals)
-            except (OverflowError, pa.ArrowInvalid):
-                # ints beyond i64 (the u64 upper half, e.g. 18e18 doc
-                # ids) overflow arrow's default int64 inference
-                cols[k] = pa.array(vals, pa.uint64())
-    # mapped-but-absent fields become typed null columns: strict mode
-    # rejects UNKNOWN doc keys, not missing ones
-    typed_null = {"text": pa.string(), "i64": pa.int64(), "u64": pa.uint64(),
-                  "f64": pa.float64(), "bool": pa.bool_(),
-                  "datetime": pa.timestamp("us"), "bytes": pa.binary(),
-                  "ip": pa.string(), "json": pa.string()}
+        if k in fields and fields[k].type == "json":
+            cols[k] = pa.array([None if v is None else json.dumps(
+                v, separators=(",", ":")) for v in vals], pa.string())
+            continue
+        cols[k] = _infer(vals)
+        if cols[k] is None and k in converted:  # mixed value forms
+            cols[k] = pa.array(converted[k][keep], from_pandas=True)
+            if fields[k].type == "datetime":
+                cols[k] = cols[k].cast(pa.int64(), safe=False).cast(
+                    pa.timestamp("us"))
+        if cols[k] is None:
+            raise ValueError(f"field `{k}` mixes JSON value types")
     for f in mapping.field_mappings:
         if f.name not in cols:
-            cols[f.name] = pa.nulls(len(docs), typed_null.get(f.type, pa.string()))
-    if getattr(mapping, "store_document_size", False):
+            cols[f.name] = pa.nulls(len(docs),
+                                    _NULL_TYPES.get(f.type, pa.string()))
+    if mapping.store_document_size:
         # per-doc serialized-JSON byte length (doc_mapper_impl.rs:549-551,
         # `document_len = json_doc.len()`); parsed dicts re-serialize with
         # the canonical separators the NDJSON producer used
         cols["_doc_length"] = pa.array(
             [len(json.dumps(d, default=str).encode()) for d in docs],
             pa.uint64())
-    return pa.table(cols)
+    table = pa.table(cols)
+    if rejects:
+        raise RejectedDocs(rejects, table)
+    return table
 
 
-def ingest_docs(index_dir: str, docs: list[dict[str, Any]], *,
+def raw_table(docs: list) -> pa.Table:
+    """Docs pulled from a queue source -> a table of every key as pulled
+    (the doc pass under an empty dynamic mapping); the index mapping
+    applies when the split is built."""
+    from quickwit_ray.config import DocMapping
+
+    return _docs_to_table(docs, DocMapping((), mode="dynamic"))
+
+
+def ingest_docs(index_dir: str, docs: list | pa.Table, *,
                 commit_id: Optional[str] = None) -> int:
-    """Build one split from pushed docs and publish atomically. Passing a
-    ``commit_id`` makes the call idempotent (replayed commit ids no-op,
-    the ingest-v2 shard-position analog). Returns docs indexed."""
+    """Build one split from pushed docs and publish atomically. ``docs``
+    may be the table `_docs_to_table` already built (fronts that answer
+    per doc convert first). Passing a ``commit_id`` makes the call
+    idempotent (replayed commit ids no-op, the ingest-v2 shard-position
+    analog). Returns docs indexed."""
     from quickwit_ray.config import IndexConfig
     from quickwit_ray.index.writer import SplitBuilder
     from quickwit_ray.state.manifest import Manifest
 
-    if not docs:
+    if not len(docs):
         return 0
     manifest = Manifest(index_dir)
     if manifest.index_config_json is None:
@@ -779,16 +712,30 @@ def ingest_docs(index_dir: str, docs: list[dict[str, Any]], *,
                  else f"ingest:{time.time_ns()}")
     if manifest.is_partition_committed(partition):
         return 0
-    table = _docs_to_table(docs, config.doc_mapping)
+    table = (docs if isinstance(docs, pa.Table)
+             else _docs_to_table(docs, config.doc_mapping))
     builder = SplitBuilder(config, index_dir, partition, 0)
     builder.add_batch(table)
     sm = builder.flush()
     manifest.publish([sm] if sm else [], checkpoint_partition=partition)
-    return len(docs)
+    return table.num_rows
 
 # ---------------------------------------------------------------------------
 # ingest workbench: accumulate many small pushes into O(1) splits
 # ---------------------------------------------------------------------------
+
+def _stack(tables: list[pa.Table]) -> pa.Table:
+    """Concatenate the tables of several pushes. A column one push left
+    all-null (a mapped field it never set) takes the type the pushes that
+    carry values gave it; numeric types widen."""
+    typed = {f.name: f.type for t in tables
+             for f, c in zip(t.schema, t.columns) if c.null_count < len(c)}
+    return pa.concat_tables(
+        [pa.table({f.name: pa.nulls(len(c), typed[f.name])
+                   if f.name in typed and c.null_count == len(c) else c
+                   for f, c in zip(t.schema, t.columns)}) for t in tables],
+        promote_options="permissive")
+
 
 class IngestWorkbench:
     """Accumulating push-ingest workbench (reference
@@ -827,8 +774,8 @@ class IngestWorkbench:
         self.commit_timeout_secs = float(commit_timeout_secs)
         self.commit_docs_threshold = int(commit_docs_threshold)
         self.commit_bytes_threshold = int(commit_bytes_threshold)
-        self._docs: list[dict[str, Any]] = []
-        self._bytes = 0
+        self._tables: list[pa.Table] = []
+        self._num_docs = self._bytes = 0
         self._first_ts: Optional[float] = None
         self._pending: list[str] = []
         self.commits = 0
@@ -845,22 +792,22 @@ class IngestWorkbench:
 
     def push(self, docs: list[dict[str, Any]], *,
              commit_id: Optional[str] = None) -> int:
-        """Buffer parsed docs; returns docs queued (0 for a replayed
-        commit_id). Strict-mode key violations raise HERE, so a poison doc
-        fails its own push, not a later commit carrying other pushes."""
+        """Convert and buffer parsed docs; returns docs queued (0 for a
+        replayed commit_id). A doc the mapping refuses raises
+        `RejectedDocs` HERE, so a poison doc fails its own push, not a
+        later commit carrying other pushes."""
         if commit_id is not None:
             partition = f"ingest:{commit_id}"
             if (partition in self._pending
                     or self.manifest.is_partition_committed(partition)):
                 return 0
-        if docs:
-            validate_push_keys(docs, self.config.doc_mapping)
+        table = _docs_to_table(docs, self.config.doc_mapping) if docs else None
         if commit_id is not None:
             self._pending.append(f"ingest:{commit_id}")
-        if docs:
-            self._docs.extend(docs)
-            self._bytes += sum(len(json.dumps(d, separators=(",", ":"),
-                                              default=str)) for d in docs)
+        if table is not None:
+            self._tables.append(table)
+            self._num_docs += table.num_rows
+            self._bytes += table.nbytes
             if self._first_ts is None:
                 self._first_ts = time.monotonic()
         n = len(docs)
@@ -872,7 +819,7 @@ class IngestWorkbench:
     def _triggered(self) -> bool:
         if self._first_ts is None:
             return False
-        return (len(self._docs) >= self.commit_docs_threshold
+        return (self._num_docs >= self.commit_docs_threshold
                 or self._bytes >= self.commit_bytes_threshold
                 or (time.monotonic() - self._first_ts) >= self.commit_timeout_secs)
 
@@ -893,14 +840,15 @@ class IngestWorkbench:
         commit_ids in one atomic manifest append."""
         from quickwit_ray.index.writer import SplitBuilder
 
-        docs, cids = self._docs, self._pending
-        self._docs, self._pending = [], []
-        self._bytes, self._first_ts = 0, None
-        if not docs and not cids:
+        tables, cids, n = self._tables, self._pending, self._num_docs
+        self._tables, self._pending = [], []
+        self._num_docs = self._bytes = 0
+        self._first_ts = None
+        if not n and not cids:
             return 0
         sms = []
-        if docs:
-            table = _docs_to_table(docs, self.config.doc_mapping)
+        if n:
+            table = _stack(tables)
             target = max(1, int(self.config.settings.split_num_docs_target))
             base = cids[0] if cids else f"ingest:{time.time_ns()}"
             for i in range(0, table.num_rows, target):
@@ -920,7 +868,7 @@ class IngestWorkbench:
         self.manifest.publish_many(by)
         self.commits += 1
         self.splits_built += len(sms)
-        return len(docs)
+        return n
 
     def close(self) -> int:
         """Commit any remaining buffered docs."""

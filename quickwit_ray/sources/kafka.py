@@ -26,6 +26,8 @@ from typing import Any, Callable, Optional
 
 import pyarrow as pa
 
+from quickwit_ray.sources.ingest import raw_table
+
 
 def _default_consumer_factory(bootstrap_servers: str):
     try:
@@ -142,19 +144,7 @@ class KafkaQueueClient:
             docs.append(self._decode(msg.value()))
             if msg.offset() == end - 1:
                 break
-        if not docs:
-            return pa.table({})
-        cols = {}
-        keys = []
-        seen = set()
-        for d in docs:
-            for k in d:
-                if k not in seen:
-                    seen.add(k)
-                    keys.append(k)
-        for k in keys:
-            cols[k] = pa.array([d.get(k) for d in docs])
-        return pa.table(cols)
+        return raw_table(docs)
 
     def close(self) -> None:
         try:

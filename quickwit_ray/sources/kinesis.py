@@ -31,6 +31,8 @@ from typing import Any, Callable, Optional
 
 import pyarrow as pa
 
+from quickwit_ray.sources.ingest import raw_table
+
 # Kinesis sequence numbers are <= 56 decimal digits; zero-padding to a
 # fixed width makes lexicographic comparison numeric (position.rs pads
 # u64 offsets to 20 digits for the same reason)
@@ -155,16 +157,7 @@ class KinesisQueueClient:
             if isinstance(data, str):
                 data = data.encode()
             docs.append(self._decode(data))
-        if not docs:
-            return pa.table({})
-        cols: dict[str, list] = {}
-        for d in docs:
-            for k in d:
-                cols.setdefault(k, [])
-        for d in docs:
-            for k in cols:
-                cols[k].append(d.get(k))
-        return pa.table(cols)
+        return raw_table(docs)
 
     def close(self) -> None:
         close = getattr(self._client, "close", None)

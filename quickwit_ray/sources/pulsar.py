@@ -31,6 +31,8 @@ from typing import Any, Callable, Optional
 
 import pyarrow as pa
 
+from quickwit_ray.sources.ingest import raw_table
+
 _W_LEDGER = 20
 _W_ENTRY = 20
 _W_BATCH = 12
@@ -165,16 +167,7 @@ class PulsarQueueClient:
             if isinstance(data, str):
                 data = data.encode()
             docs.append(self._decode(data))
-        if not docs:
-            return pa.table({})
-        cols: dict[str, list] = {}
-        for d in docs:
-            for k in d:
-                cols.setdefault(k, [])
-        for d in docs:
-            for k in cols:
-                cols[k].append(d.get(k))
-        return pa.table(cols)
+        return raw_table(docs)
 
     def close(self) -> None:
         close = getattr(self._client, "close", None)

@@ -321,6 +321,16 @@ class RecordLog:
 # ingester front
 # ---------------------------------------------------------------------------
 
+def _index_config(index_dir: str):
+    from quickwit_ray.config import IndexConfig
+    from quickwit_ray.state.manifest import Manifest
+
+    cfg_json = Manifest(index_dir).index_config_json
+    if cfg_json is None:
+        raise FileNotFoundError(f"no index at {index_dir}")
+    return IndexConfig.from_json(cfg_json)
+
+
 def _shard_dir(index_dir: str, source_id: str, shard: int,
                wal_root: Optional[str] = None) -> str:
     """Shard directory. ``wal_root`` relocates the WAL off the index dir
@@ -352,6 +362,7 @@ class IngestWal:
         draining the replica root. Divergence: the reference replicates
         over gRPC with a persist/ack protocol; this is the same
         durability contract executed locally."""
+        self._mapping = _index_config(index_dir).doc_mapping
         self.index_dir = index_dir
         self.source_id = source_id
         self.num_shards = int(num_shards)
@@ -391,7 +402,13 @@ class IngestWal:
     def persist(self, docs: list[dict[str, Any]],
                 shard: Optional[int] = None) -> tuple[int, int]:
         """Durably persist one doc batch; returns ``(shard, position)``.
-        The return IS the ack: the batch survives any crash after this."""
+        The return IS the ack: the batch survives any crash after this.
+        The batch runs the doc pass first: a doc the mapping refuses
+        raises `RejectedDocs` and nothing of the batch is appended, so no
+        acked record can fail the indexing consumer later."""
+        from quickwit_ray.sources.ingest import _docs_to_table
+
+        _docs_to_table(docs, self._mapping)
         if shard is None:
             shard = self._rr % self.num_shards
             self._rr += 1
@@ -435,18 +452,13 @@ class WalQueueClient:
 
     def __init__(self, index_dir: str, source_id: str = "_ingest-api",
                  wal_root: Optional[str] = None):
-        from quickwit_ray.config import IndexConfig
-        from quickwit_ray.state.manifest import Manifest
-
         self.index_dir = index_dir
         self.source_id = source_id
         self.wal_root = wal_root
         base = os.path.dirname(_shard_dir(index_dir, source_id, 0, wal_root))
         shards = sorted(glob.glob(os.path.join(base, "shard-*")))
         self.num_partitions = len(shards)
-        cfg_json = Manifest(index_dir).index_config_json
-        self._mapping = (IndexConfig.from_json(cfg_json).doc_mapping
-                         if cfg_json else None)
+        self._mapping = _index_config(index_dir).doc_mapping
         self._log_cache: dict[int, RecordLog] = {}
 
     def _log(self, partition: int) -> RecordLog:
@@ -510,15 +522,10 @@ def index_wal(index_dir: str, config=None, *,
     leaves either unindexed-but-durable records or published-but-not-yet-
     GCed segments — never loss, never duplication.
     """
-    from quickwit_ray.config import IndexConfig
     from quickwit_ray.sources.queue import ingest_queue
     from quickwit_ray.state.manifest import Manifest
 
-    if config is None:
-        cfg_json = Manifest(index_dir).index_config_json
-        if cfg_json is None:
-            raise FileNotFoundError(f"no index at {index_dir}")
-        config = IndexConfig.from_json(cfg_json)
+    config = config or _index_config(index_dir)
     prefix = f"wal.{source_id}"
     factory = _WalClientFactory(index_dir, source_id, wal_root)
     stats = ingest_queue(index_dir, index_dir, config,
