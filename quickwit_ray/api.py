@@ -59,7 +59,11 @@ class Index:
 
     @property
     def config(self) -> IndexConfig:
-        return IndexConfig.from_json(Manifest(self.index_dir).index_config_json)
+        """The committed config, resolved through the generation-checked
+        searcher cache: no Manifest load unless a commit moved it."""
+        from quickwit_ray.search.engine import get_searcher
+
+        return get_searcher(self.index_dir).config
 
     # ------------------------------------------------------------------
 
@@ -81,8 +85,6 @@ class Index:
 
         from quickwit_ray.search.engine import get_searcher
 
-        # the cached searcher already parsed the config: O(1) per call
-        # instead of a full manifest reload via self.config
         searcher = get_searcher(self.index_dir)
         kw = es_search_request(body,
                                searcher.mapping.default_search_fields)

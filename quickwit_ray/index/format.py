@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -309,6 +309,17 @@ class BlobColumnWriter:
         self._f.close()
 
 
+def _in_request_order(vals, order: list[np.ndarray]):
+    """``vals`` (an Arrow array or table) holds the rows of each group
+    in ``order`` back to back; put row ``order[g][j]`` at that position."""
+    pos = np.concatenate(order) if order else np.empty(0, np.int64)
+    if (np.diff(pos) == 1).all():  # groups already in request order
+        return vals
+    back = np.empty(len(pos), np.int64)
+    back[pos] = np.arange(len(pos))
+    return vals.take(pa.array(back))
+
+
 class BlobColumnReader:
     """Point + scan reads over one blob column file."""
 
@@ -350,8 +361,9 @@ class BlobColumnReader:
             [[0], np.cumsum(self.frame_rows)]).astype(np.int64)
         self.bytes_read = 0
 
-    def _frame(self, fi: int) -> tuple[np.ndarray, bytes, np.ndarray]:
-        """(lens u32 with null sentinel, data bytes, byte starts)."""
+    def _frame_array(self, fi: int) -> pa.Array:
+        """One frame -> pa.binary() array, zero-copy from the payload
+        (u32 lens with the null sentinel, then the row bytes)."""
         self._f.seek(int(self.offs[fi]))
         buf = self._f.read(int(self.offs[fi + 1] - self.offs[fi]))
         payload = self._codec.decompress(buf, int(self.rawlens[fi]),
@@ -361,12 +373,6 @@ class BlobColumnReader:
         lens = np.frombuffer(payload, np.uint32, count=nrows)
         eff = np.where(lens == DOCBLOB_NULL, 0, lens).astype(np.int64)
         starts = 4 * nrows + np.concatenate([[0], np.cumsum(eff)])
-        return lens, payload, starts
-
-    def _frame_array(self, fi: int) -> pa.Array:
-        """One frame -> pa.binary() array, zero-copy from the payload."""
-        lens, payload, starts = self._frame(fi)
-        nrows = len(lens)
         valid = lens != DOCBLOB_NULL
         off32 = (starts - starts[0]).astype(np.int32)
         data = np.frombuffer(payload, np.uint8)[starts[0]:starts[-1]]
@@ -379,21 +385,23 @@ class BlobColumnReader:
             [vbuf, pa.py_buffer(off32), pa.py_buffer(data)],
             null_count=nulls)
 
-    def take(self, rows: np.ndarray) -> pa.Array:
-        """Rows (local ordinals) -> pa array in request order."""
+    def take(self, rows: np.ndarray, frame=None) -> pa.Array:
+        """Rows (local ordinals) -> pa array in request order: one Arrow
+        take per touched frame, no per-row Python. ``frame`` (frame index
+        -> ``_frame_array``) lets a caller serve decoded frames from its
+        own cache; by default each touched frame is decoded here."""
+        frame = frame or self._frame_array
         rows = np.asarray(rows, np.int64)
-        vals: dict[int, Optional[bytes]] = {}
         frame_of = np.searchsorted(self.row_starts, rows, side="right") - 1
+        takes, order = [], []
         for fi in np.unique(frame_of):
-            lens, payload, starts = self._frame(int(fi))
-            base = int(self.row_starts[fi])
-            for r in rows[(rows >= base)
-                          & (rows < self.row_starts[fi + 1])]:
-                li = int(r - base)
-                vals[int(r)] = (None if lens[li] == DOCBLOB_NULL else
-                                payload[starts[li]:starts[li + 1]])
-        out = [vals[int(r)] for r in rows]
-        arr = pa.array(out, pa.binary())
+            sel = np.nonzero(frame_of == fi)[0]
+            takes.append(frame(int(fi)).take(
+                pa.array(rows[sel] - self.row_starts[fi])))
+            order.append(sel)
+        arr = _in_request_order(
+            pa.concat_arrays(takes) if takes else pa.array([], pa.binary()),
+            order)
         return arr.cast(pa.string()) if self.value_type == "string" else arr
 
     def scan(self) -> pa.Array:
@@ -879,6 +887,10 @@ class SplitReader:
         import threading
 
         self._docstore_lock = threading.Lock()
+        # doc-store layout, opened on the first fetch, and the decoded
+        # blocks fetches keep (see _docstore_block)
+        self._docstore: Optional[tuple] = None
+        self._doc_blocks: dict[tuple, Any] = {}
 
     # -- term dictionary (lazy per-row-group segments) -----------------------
 
@@ -1311,18 +1323,8 @@ class SplitReader:
     def docstore_columns(self) -> list[str]:
         """Column names present in this split's doc store (mapped stored
         fields + the dynamic-mode catch-all columns + blob columns)."""
-        if getattr(self, "_docstore_cols", None) is None:
-            cols: list[str] = []
-            for u in self.docstore_units():
-                if u["parquet"]:
-                    for name in pq.read_schema(u["parquet"]).names:
-                        if name not in cols:
-                            cols.append(name)
-                for b in u["blobs"]:
-                    if b["column"] not in cols:
-                        cols.append(b["column"])
-            self._docstore_cols = cols
-        return self._docstore_cols
+        with self._docstore_lock:
+            return list(self._docstore_layout()[2])
 
     def read_docstore_table(self, columns: Optional[list[str]] = None
                             ) -> pa.Table:
@@ -1354,137 +1356,117 @@ class SplitReader:
         return pa.concat_tables(parts, promote_options="default")
 
     def fetch_docs(self, doc_ids: np.ndarray, columns: Optional[list[str]] = None) -> pa.Table:
-        """Doc-store point lookups for hit rendering (fetch_docs.rs:41-267).
-        Reads only the parquet row groups containing the requested rows
-        (doc id == row index across the ordered segments), so a top-k
-        fetch touches a few compressed blocks, not the whole store."""
+        """Doc-store point lookups for hit rendering (fetch_docs.rs:41-267):
+        equal to ``read_docstore_table(columns).take(doc_ids)`` (doc id ==
+        row index across the ordered segment units). Only the parquet
+        row groups and blob frames holding the requested rows are read,
+        and each decoded block stays on the reader (the reference's
+        doc-store block cache), so a repeated top-k decodes nothing. The
+        blocks count in ``retained_bytes``: the reader cache's byte
+        budget bounds them, and a split rebuilt in place gets a fresh
+        reader (its stamp changes), never the old build's blocks."""
         ids = np.asarray(doc_ids, np.int64)
-        # the cached grid shares ParquetFile + blob file handles; seeks
-        # and reads on them are NOT thread-safe — serialize per reader
-        # (concurrent requests still parallelize across splits). The
-        # lock is created in __init__: lazy creation would race.
+        # the grid shares ParquetFile + blob file handles and the block
+        # dict; seeks and reads on them are NOT thread-safe — serialize
+        # per reader (concurrent requests still parallelize across
+        # splits). The lock is created in __init__: lazy creation would
+        # race.
         with self._docstore_lock:
             return self._fetch_docs_locked(ids, columns)
 
-    def _fetch_docs_locked(self, ids: np.ndarray,
-                           columns: Optional[list[str]]) -> pa.Table:
-        # (unit, row group) flattened into one global row-group grid,
-        # cached on the reader (merged splits stack many segment files)
-        cached = getattr(self, "_docstore_grid", None)
-        if cached is None:
+    def _docstore_layout(self) -> tuple:
+        """(unit doc offsets, per unit (ParquetFile | None, its row-group
+        doc starts, {column: BlobColumnReader}), {column: type} in
+        first-seen order), opened once per reader."""
+        if self._docstore is None:
             units = self.docstore_units()
             unit_offs = np.concatenate(
                 [[0], np.cumsum([u["num_docs"] for u in units])]
             ).astype(np.int64)
-            grid: list[tuple[pq.ParquetFile, int]] = []
-            g_starts: list[int] = []
-            blob_readers: list[list[tuple[str, "BlobColumnReader"]]] = []
-            for ui, u in enumerate(units):
+            parts = []
+            types: dict[str, pa.DataType] = {}
+            for u in units:
+                pf = rg_starts = None
                 if u["parquet"]:
                     pf = _open_parquet(u["parquet"])
                     md = pf.metadata
-                    acc = 0
-                    for i in range(md.num_row_groups):
-                        grid.append((pf, i))
-                        g_starts.append(int(unit_offs[ui]) + acc)
-                        acc += md.row_group(i).num_rows
-                blob_readers.append(
-                    [(b["column"],
-                      BlobColumnReader(b["file"], b.get("type", "string")))
-                     for b in u["blobs"]])
-            cached = self._docstore_grid = (
-                units, unit_offs, grid,
-                np.asarray(g_starts, np.int64), blob_readers)
-        units, unit_offs, grid, g_starts, blob_readers = cached
-        unit_of = np.searchsorted(unit_offs, ids, side="right") - 1
-        unit_has_pq = np.asarray([u["parquet"] is not None for u in units],
-                                 bool)
-        pq_mask = unit_has_pq[unit_of] if len(units) else \
-            np.zeros(len(ids), bool)
+                    rg_starts = np.concatenate([[0], np.cumsum(
+                        [md.row_group(i).num_rows
+                         for i in range(md.num_row_groups)])]
+                    ).astype(np.int64)
+                    for f in pf.schema_arrow:
+                        types.setdefault(f.name, f.type)
+                blobs = {}
+                for b in u["blobs"]:
+                    vt = b.get("type", "string")
+                    blobs[b["column"]] = BlobColumnReader(b["file"], vt)
+                    types.setdefault(b["column"], pa.string()
+                                     if vt == "string" else pa.binary())
+                parts.append((pf, rg_starts, blobs))
+            self._docstore = (unit_offs, parts, types)
+        return self._docstore
 
-        n = len(ids)
-        combined: Optional[pa.Table] = None
-        if pq_mask.any():
-            sub_ids = ids[pq_mask]
-            rg_of = np.searchsorted(g_starts, sub_ids, side="right") - 1
-            out_parts: list[tuple[np.ndarray, Optional[pa.Table], int]] = []
+    def _docstore_block(self, key: tuple, load) -> Any:
+        """Decoded doc-store block ``key`` (a parquet row group's columns
+        or one blob frame), decoded by ``load()`` on first use only."""
+        blk = self._doc_blocks.get(key)
+        if blk is None:
+            blk = self._doc_blocks[key] = load()
+            self.bytes_read += blk.nbytes
+            self.retained_bytes += blk.nbytes
+        return blk
+
+    def _fetch_docs_locked(self, ids: np.ndarray,
+                           columns: Optional[list[str]]) -> pa.Table:
+        unit_offs, parts, types = self._docstore_layout()
+        cols = list(types) if columns is None else \
+            [c for c in dict.fromkeys(columns) if c in types]
+        if not cols:
+            return pa.table({"_": pa.nulls(len(ids))}).drop_columns(["_"])
+        unit_of = np.searchsorted(unit_offs, ids, side="right") - 1
+        pieces, order = [], []
+        for ui in np.unique(unit_of):
+            sel = np.nonzero(unit_of == ui)[0]
+            local = ids[sel] - unit_offs[ui]
+            got = self._fetch_unit(int(ui), parts[int(ui)], local, cols)
+            # a column this unit lacks (the schema widened by later
+            # dynamic ingests) reads as nulls
+            pieces.append(pa.table(
+                {c: got[c] if c in got else pa.nulls(len(sel), types[c])
+                 for c in cols}))
+            order.append(sel)
+        if not pieces:
+            return pa.table({c: pa.nulls(0, types[c]) for c in cols})
+        tbl = (pieces[0] if len(pieces) == 1 else
+               pa.concat_tables(pieces, promote_options="permissive"))
+        return _in_request_order(tbl, order)
+
+    def _fetch_unit(self, ui: int, part: tuple, local: np.ndarray,
+                    cols: list[str]) -> dict:
+        """{column: array} of one unit's rows ``local`` (unit ordinals)
+        for the requested columns this unit stores."""
+        pf, rg_starts, blobs = part
+        out = {}
+        pq_cols = tuple(c for c in cols if c not in blobs and pf is not None
+                        and c in pf.schema_arrow.names)
+        if pq_cols:
+            rg_of = np.searchsorted(rg_starts, local, side="right") - 1
+            takes, order = [], []
             for rg in np.unique(rg_of):
-                sel = rg_of == rg
-                pf, local_rg = grid[int(rg)]
-                cols = columns
-                if cols is not None:
-                    # tolerate columns a segment predates (schema widened
-                    # by later dynamic ingests, or blob'd elsewhere):
-                    # absent -> nulls on concat
-                    present = set(pf.schema_arrow.names)
-                    cols = [c for c in cols if c in present]
-                idxs = np.nonzero(sel)[0]
-                if cols is not None and not cols:
-                    # none of the requested columns live in this group
-                    out_parts.append((idxs, None, int(sel.sum())))
-                    continue
-                tbl = pf.read_row_group(local_rg, columns=cols)
-                self.bytes_read += tbl.nbytes
-                local = sub_ids[sel] - g_starts[rg]
-                out_parts.append((idxs, tbl.take(pa.array(local)), 0))
-            real = [t for _, t, _ in out_parts if t is not None]
-            if real:
-                unified = pa.unify_schemas([t.schema for t in real],
-                                           promote_options="default")
-                tables = [t if t is not None else
-                          pa.table({f.name: pa.nulls(cnt, f.type)
-                                    for f in unified}, schema=unified)
-                          for _, t, cnt in out_parts]
-                combined = pa.concat_tables(tables,
-                                            promote_options="default")
-                pos = np.concatenate([idxs for idxs, _, _ in out_parts])
-                back = np.empty(len(pos), np.int64)
-                back[pos] = np.arange(len(pos))
-                combined = combined.take(pa.array(back))
-            if combined is not None and not pq_mask.all():
-                # splice null rows for ids whose unit is blobs-only
-                full = np.full(n, -1, np.int64)
-                full[pq_mask] = np.arange(int(pq_mask.sum()))
-                combined = pa.concat_tables(
-                    [combined,
-                     pa.table({f.name: pa.nulls(1, f.type)
-                               for f in combined.schema},
-                              schema=combined.schema)])
-                full[full < 0] = int(pq_mask.sum())
-                combined = combined.take(pa.array(full))
-        # overlay blob columns (per unit: each may blob different columns)
-        blob_cols: list[str] = []
-        for brs in blob_readers:
-            for cname, _ in brs:
-                if cname not in blob_cols and (columns is None
-                                               or cname in columns):
-                    blob_cols.append(cname)
-        for cname in blob_cols:
-            base: list = (combined[cname].to_pylist()
-                          if combined is not None
-                          and cname in combined.column_names
-                          else [None] * n)
-            vtype = "string"
-            for ui in np.unique(unit_of):
-                for bc, rd in blob_readers[int(ui)]:
-                    if bc != cname:
-                        continue
-                    sel = unit_of == ui
-                    local = ids[sel] - unit_offs[ui]
-                    vals = rd.take(local)
-                    self.bytes_read += vals.nbytes
-                    vtype = rd.value_type
-                    for j, v in zip(np.nonzero(sel)[0], vals.to_pylist()):
-                        base[int(j)] = v
-            arr = pa.array(base, pa.string() if vtype == "string"
-                           else pa.binary())
-            if combined is None:
-                combined = pa.table({cname: arr})
-            elif cname in combined.column_names:
-                combined = combined.set_column(
-                    combined.column_names.index(cname), cname, arr)
-            else:
-                combined = combined.append_column(cname, arr)
-        if combined is None:
-            combined = pa.table({})
-        return combined
+                sel = np.nonzero(rg_of == rg)[0]
+                blk = self._docstore_block(
+                    ("rg", ui, int(rg), pq_cols),
+                    lambda rg=int(rg): pf.read_row_group(
+                        rg, columns=list(pq_cols)))
+                takes.append(blk.take(pa.array(local[sel] - rg_starts[rg])))
+                order.append(sel)
+            tbl = _in_request_order(pa.concat_tables(takes), order)
+            out.update(zip(pq_cols, tbl.columns))
+        for c in cols:
+            rd = blobs.get(c)
+            if rd is not None:
+                out[c] = rd.take(local, frame=lambda fi, c=c, rd=rd:
+                                 self._docstore_block(
+                                     ("blob", ui, c, fi),
+                                     lambda: rd._frame_array(fi)))
+        return out

@@ -142,6 +142,17 @@ class _ReaderCache:
             self._enforce_budget_locked()
         return r
 
+    def drop_unlisted(self, splits_dir: str, keep: set) -> None:
+        """Drop the cached readers of splits under ``splits_dir`` that
+        are not in ``keep``, with their retained blocks and file handles.
+        Only the cache forgets them: a scroll still over an old split
+        re-opens it while its files last (the GC grace period)."""
+        with self._lock:
+            for d in [d for d in self._cache
+                      if os.path.dirname(d) == splits_dir
+                      and d not in keep]:
+                del self._cache[d]
+
     def peek_bytes_read(self, split_dir: str) -> Optional[int]:
         """Cumulative materialized bytes of the cached reader, or None if
         no reader is open (permit accounting — never opens one)."""
@@ -314,7 +325,9 @@ def get_searcher(index_dir: str, execution: Optional[str] = None) -> "IndexSearc
     and "ray" searchers are cached alike; the "ray" leaf actor pool is
     process-global + mapping-agnostic, so leaf actors (and their
     split-affine reader caches) survive split publishes and searcher
-    rebuilds by construction."""
+    rebuilds by construction. Building a new generation's searcher also
+    drops the cached readers of this index's splits it no longer
+    publishes."""
     if execution is None:
         execution = _DEFAULT_EXECUTION
     stamp = manifest_generation(index_dir)
@@ -327,6 +340,12 @@ def get_searcher(index_dir: str, execution: Optional[str] = None) -> "IndexSearc
             _SEARCHER_CACHE.move_to_end(key)
             return ent[1]
     s = IndexSearcher(index_dir, execution=execution)
+    # merged-away or deleted splits' readers would otherwise hold their
+    # blocks and file handles until the LRU reaches them
+    splits_dir = os.path.join(index_dir, "splits")
+    _GLOBAL_READER_CACHE.drop_unlisted(
+        splits_dir, {os.path.join(splits_dir, sp.split_id)
+                     for sp in s.manifest.published_splits()})
     with _SEARCHER_CACHE_LOCK:
         ent = _SEARCHER_CACHE.get(key)
         if ent is not None and ent[0] == stamp:  # lost the build race
@@ -1036,34 +1055,56 @@ class IndexSearcher:
     def _fetch_docs(self, hits: pd.DataFrame, fetch_fields: Optional[list[str]],
                     request: SearchRequest) -> pd.DataFrame:
         """fetch_docs phase: group top hits by split, point-lookup doc-store
-        rows, keep the merged order."""
+        rows, and join them onto the hits in their merged order — one
+        Arrow table over every split, converted to pandas once."""
         dynamic_extra = fetch_fields is None and self.mapping.mode == "dynamic"
         if fetch_fields is None:
             fetch_fields = [f.name for f in self.mapping.stored_fields
                             if f.type != "bytes"]
         mapped = {f.name for f in self.mapping.field_mappings}
-        pieces = []
-        for split_dir, grp in hits.groupby("_split_dir", sort=False):
+        doc_ids = hits["_doc_id"].to_numpy()
+        tables, order = [], []
+        for split_dir, pos in hits.groupby("_split_dir",
+                                           sort=False).indices.items():
             reader = _GLOBAL_READER_CACHE.get(str(split_dir))
-            cols = [c for c in fetch_fields]
+            cols = list(fetch_fields)
             if dynamic_extra:
                 # dynamic-mode hits render their catch-all columns too
                 # (the doc store keeps unmapped fields; doc_mapper.rs
                 # dynamic field)
                 cols += [c for c in reader.docstore_columns()
                          if c not in mapped and c not in cols]
-            tbl = reader.fetch_docs(grp["_doc_id"].to_numpy(), columns=cols)
-            sub = tbl.to_pandas()
-            sub.index = grp.index
-            pieces.append(sub)
-        if pieces:
-            docs = pd.concat(pieces).sort_index()
+            tables.append(reader.fetch_docs(doc_ids[pos], columns=cols))
+            order.append(pos)
+        if tables:
+            docs = _docs_frame(tables, order)
+            docs.index = hits.index
             hits = pd.concat([hits, docs], axis=1)
         if request.snippet_fields:
             from quickwit_ray.search.snippets import generate_snippets
 
             hits = generate_snippets(hits, request, self.mapping)
         return hits
+
+
+def _docs_frame(tables: list[pa.Table], order: list[np.ndarray]
+                ) -> pd.DataFrame:
+    """Per-split fetched rows (``tables[g]`` holds hit positions
+    ``order[g]``) -> one frame in hit order."""
+    pos = np.concatenate(order)
+    back = np.empty(len(pos), np.int64)
+    back[pos] = np.arange(len(pos))
+    try:
+        tbl = pa.concat_tables(tables, promote_options="permissive")
+    except (pa.ArrowInvalid, pa.ArrowTypeError):
+        # a dynamic field typed differently across splits (say int in
+        # one, string in another) has no Arrow supertype: pandas
+        # unifies it as object
+        return pd.concat([t.to_pandas() for t in tables],
+                         ignore_index=True).iloc[back].reset_index(drop=True)
+    if tbl.num_columns == 0:  # no requested column is stored anywhere
+        return pd.DataFrame(index=pd.RangeIndex(len(pos)))
+    return tbl.take(pa.array(back)).to_pandas()
 
 
 def _normalize_sort(sort_by: Any) -> list[SortField]:

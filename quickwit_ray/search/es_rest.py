@@ -489,11 +489,7 @@ class EsRestService:
             {n: self.indexes[n].list_field_entries(fields, lo, hi)
              for n in names})
 
-    def _apply_params(self, index: Index, params: dict, body: dict) -> dict:
-        return self._apply_params_d(
-            index.config.doc_mapping.default_search_fields, params, body)
-
-    def _apply_params_d(self, dflt, params: dict, body: dict) -> dict:
+    def _apply_params(self, dflt, params: dict, body: dict) -> dict:
         """Query-string params q/size/from/sort override the body (the
         reference's SearchQueryParams extraction, rest_handler.rs)."""
         body = dict(body)
@@ -524,8 +520,8 @@ class EsRestService:
 
     def _search(self, index_name: str, params: dict, body: dict) -> dict:
         index = self._index(index_name)
-        body = self._apply_params(index, params, body)
         mapping = index.config.doc_mapping
+        body = self._apply_params(mapping.default_search_fields, params, body)
         kw = es_search_request(body, mapping.default_search_fields)
         sort_formats = _extract_sort_formats(body)
         if kw.get("search_after") and kw.get("sort_by"):
@@ -579,7 +575,7 @@ class EsRestService:
         dflt = (indexes[0].config.doc_mapping.default_search_fields
                 if indexes else ())
         mapping0 = indexes[0].config.doc_mapping if indexes else None
-        body = self._apply_params_d(dflt, params, body)
+        body = self._apply_params(dflt, params, body)
         kw = es_search_request(body, dflt)
         sort_formats = _extract_sort_formats(body)
         if kw.get("search_after") and kw.get("sort_by") and mapping0:

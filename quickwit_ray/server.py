@@ -22,7 +22,9 @@ searcher-cache model, `quickwit-search/src/leaf_cache.rs` analog). With
 leaf searches fan out to a persistent split-affine Ray actor pool; with
 "local" they run on an in-process thread pool. The HTTP layer itself
 stays a thin stateless shim, which is exactly what you'd replicate N
-times behind a load balancer.
+times behind a load balancer. Accepted sockets run with TCP_NODELAY,
+so a keep-alive request costs its handler time and not a delayed-ACK
+wait on the reply's second write.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ NATIVE_PREFIX = "/api/v1"
 def _make_handler(qw):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted socket: a reply goes out as a
+        # headers write then a body write, and with Nagle on the body
+        # waits for the client's delayed ACK of the headers (~40 ms per
+        # keep-alive request)
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):  # quiet: no per-request stderr
             pass

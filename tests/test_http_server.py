@@ -60,6 +60,25 @@ def test_search_body_and_q_param(server):
     assert len(out["hits"]["hits"]) == 3
 
 
+def test_accepted_sockets_set_tcp_nodelay(server, monkeypatch):
+    """A reply is written as headers then body; with Nagle on, the body
+    waits for the client's delayed ACK. Read the option back from the
+    accepted connection itself."""
+    import socket
+
+    handler = server._httpd.RequestHandlerClass
+    setup, seen = handler.setup, []
+
+    def traced_setup(self):
+        setup(self)
+        seen.append(self.connection.getsockopt(socket.IPPROTO_TCP,
+                                               socket.TCP_NODELAY))
+
+    monkeypatch.setattr(handler, "setup", traced_setup)
+    st, _ = _req(server, "GET", "/api/v1/_elastic/docs/_search?q=scans")
+    assert st == 200 and seen and all(seen)
+
+
 def test_count_msearch_stats_cat_fieldcaps(server):
     st, out = _req(server, "POST", "/api/v1/_elastic/docs/_count",
                    {"query": {"term": {"lang": "de"}}})
