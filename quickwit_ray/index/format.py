@@ -162,6 +162,9 @@ DICT_COLUMNS = ["field", "term", "df", "max_tf"]
 
 DOCSTORE_RG_MAX_ROWS = 8192
 DOCSTORE_RG_TARGET_BYTES = 4 << 20  # raw bytes per doc-store row group
+# decoded doc-store blocks (row groups, blob frames) one SplitReader
+# keeps for repeated fetches, least recently used dropped first
+DOCSTORE_BLOCK_CACHE_BYTES = 16 << 20
 
 
 def docstore_row_group_size(tbl: pa.Table) -> int:
@@ -890,7 +893,8 @@ class SplitReader:
         # doc-store layout, opened on the first fetch, and the decoded
         # blocks fetches keep (see _docstore_block)
         self._docstore: Optional[tuple] = None
-        self._doc_blocks: dict[tuple, Any] = {}
+        self._doc_blocks: "_OD[tuple, Any]" = _OD()
+        self._doc_block_bytes = 0
 
     # -- term dictionary (lazy per-row-group segments) -----------------------
 
@@ -1360,10 +1364,10 @@ class SplitReader:
         equal to ``read_docstore_table(columns).take(doc_ids)`` (doc id ==
         row index across the ordered segment units). Only the parquet
         row groups and blob frames holding the requested rows are read,
-        and each decoded block stays on the reader (the reference's
-        doc-store block cache), so a repeated top-k decodes nothing. The
-        blocks count in ``retained_bytes``: the reader cache's byte
-        budget bounds them, and a split rebuilt in place gets a fresh
+        and the decoded blocks stay on the reader (the reference's
+        doc-store block cache: an LRU of DOCSTORE_BLOCK_CACHE_BYTES), so
+        a repeated top-k decodes nothing. The kept blocks count in
+        ``retained_bytes``, and a split rebuilt in place gets a fresh
         reader (its stamp changes), never the old build's blocks."""
         ids = np.asarray(doc_ids, np.int64)
         # the grid shares ParquetFile + blob file handles and the block
@@ -1408,12 +1412,21 @@ class SplitReader:
 
     def _docstore_block(self, key: tuple, load) -> Any:
         """Decoded doc-store block ``key`` (a parquet row group's columns
-        or one blob frame), decoded by ``load()`` on first use only."""
+        or one blob frame), decoded by ``load()`` unless kept. At most
+        DOCSTORE_BLOCK_CACHE_BYTES stay kept, least recently used
+        dropped first."""
         blk = self._doc_blocks.get(key)
-        if blk is None:
-            blk = self._doc_blocks[key] = load()
-            self.bytes_read += blk.nbytes
-            self.retained_bytes += blk.nbytes
+        if blk is not None:
+            self._doc_blocks.move_to_end(key)
+            return blk
+        blk = self._doc_blocks[key] = load()
+        self.bytes_read += blk.nbytes
+        self.retained_bytes += blk.nbytes
+        self._doc_block_bytes += blk.nbytes
+        while self._doc_block_bytes > DOCSTORE_BLOCK_CACHE_BYTES:
+            _, old = self._doc_blocks.popitem(last=False)
+            self._doc_block_bytes -= old.nbytes
+            self.retained_bytes -= old.nbytes
         return blk
 
     def _fetch_docs_locked(self, ids: np.ndarray,

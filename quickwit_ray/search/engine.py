@@ -29,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 
 from quickwit_ray.config import DocMapping, IndexConfig
-from quickwit_ray.index.format import SplitReader
+from quickwit_ray.index.format import SplitReader, _in_request_order
 from quickwit_ray.search.ast import (
     MatchAll,
     SearchRequest,
@@ -1091,20 +1091,18 @@ def _docs_frame(tables: list[pa.Table], order: list[np.ndarray]
                 ) -> pd.DataFrame:
     """Per-split fetched rows (``tables[g]`` holds hit positions
     ``order[g]``) -> one frame in hit order."""
-    pos = np.concatenate(order)
-    back = np.empty(len(pos), np.int64)
-    back[pos] = np.arange(len(pos))
     try:
         tbl = pa.concat_tables(tables, promote_options="permissive")
     except (pa.ArrowInvalid, pa.ArrowTypeError):
         # a dynamic field typed differently across splits (say int in
         # one, string in another) has no Arrow supertype: pandas
         # unifies it as object
-        return pd.concat([t.to_pandas() for t in tables],
-                         ignore_index=True).iloc[back].reset_index(drop=True)
+        return pd.concat([t.to_pandas() for t in tables], ignore_index=True
+                         ).iloc[np.argsort(np.concatenate(order))
+                                ].reset_index(drop=True)
     if tbl.num_columns == 0:  # no requested column is stored anywhere
-        return pd.DataFrame(index=pd.RangeIndex(len(pos)))
-    return tbl.take(pa.array(back)).to_pandas()
+        return pd.DataFrame(index=pd.RangeIndex(sum(map(len, order))))
+    return _in_request_order(tbl, order).to_pandas()
 
 
 def _normalize_sort(sort_by: Any) -> list[SortField]:

@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from quickwit_ray.api import Index
 from quickwit_ray.config import (DocMapping, FieldMapping, IndexSettings,
                                  MergePolicyConfig, documents_doc_mapping)
+from quickwit_ray.index import format as format_mod
 from quickwit_ray.index.format import SplitReader
 from quickwit_ray.search import engine
 from quickwit_ray.search.es_rest import EsRestService
@@ -49,12 +51,8 @@ def _push(idx, n, start, seed, *, fat_body=True, extra=None):
     idx.ingest_docs(pa.table(cols), commit_id=f"c{start}")
 
 
-@pytest.fixture(scope="module")
-def merged_split(tmp_path_factory):
-    """A merged split stacking three pushed doc stores: body blob-stored
-    in two units and inline in the third, columns only some units have."""
-    d = str(tmp_path_factory.mktemp("fetch") / "idx")
-    mapping = DocMapping(
+def _mapping():
+    return DocMapping(
         field_mappings=(
             FieldMapping(name="body", type="text", stored=True),
             FieldMapping(name="html", type="bytes", indexed=False,
@@ -64,7 +62,14 @@ def merged_split(tmp_path_factory):
             FieldMapping(name="doc_id", type="i64", stored=True, fast=True)),
         mode="dynamic", doc_id_field="doc_id",
         default_search_fields=("body",))
-    idx = Index.create(d, "fetch", mapping, IndexSettings(
+
+
+@pytest.fixture(scope="module")
+def merged_split(tmp_path_factory):
+    """A merged split stacking three pushed doc stores: body blob-stored
+    in two units and inline in the third, columns only some units have."""
+    d = str(tmp_path_factory.mktemp("fetch") / "idx")
+    idx = Index.create(d, "fetch", _mapping(), IndexSettings(
         merge_policy=MergePolicyConfig(merge_factor=3, max_merge_factor=3)))
     _push(idx, 70, 0, 1, extra="str")
     _push(idx, 45, 70, 2)
@@ -119,6 +124,35 @@ def test_fetch_docs_keeps_decoded_blocks(merged_split):
     # the repeat decoded nothing; the kept blocks count as retained
     assert (r.retained_bytes, r.bytes_read) == (held, read)
     assert held > SplitReader(sd).retained_bytes
+
+
+def test_kept_blocks_stay_under_the_cap(tmp_path, monkeypatch):
+    """Fetching across every row group and blob frame of a split keeps
+    at most DOCSTORE_BLOCK_CACHE_BYTES of decoded blocks on the reader:
+    the least recently used ones are dropped, the answers stay exact."""
+    monkeypatch.setattr(format_mod, "DOCSTORE_RG_MAX_ROWS", 64)
+    d = str(tmp_path / "i")
+    _push(Index.create(d, "cap", _mapping()), 1500, 0, 5)
+    (sp,) = Manifest(d).published_splits()
+    sd = os.path.join(d, "splits", sp.split_id)
+    (unit,) = SplitReader(sd).docstore_units()
+    assert {b["column"] for b in unit["blobs"]} == {"body", "html"}
+    cap = 128 << 10
+    monkeypatch.setattr(format_mod, "DOCSTORE_BLOCK_CACHE_BYTES", cap)
+    cols = ["doc_id", "lang", "body", "html"]
+    full = SplitReader(sd).read_docstore_table().select(cols)
+    r = SplitReader(sd)
+    base = r.retained_bytes
+    for lo in range(0, 1500, 50):
+        ids = np.arange(lo, lo + 50)[::-1]
+        assert r.fetch_docs(ids, cols).equals(full.take(pa.array(ids)))
+        assert r.retained_bytes - base <= cap
+    rgs = pq.ParquetFile(unit["parquet"]).metadata.num_row_groups
+    assert rgs > 16 and r.bytes_read > 4 * cap
+    # the most recent blocks are still served without a decode
+    read = r.bytes_read
+    r.fetch_docs(np.array([1499, 1460]), cols)
+    assert r.bytes_read == read
 
 
 def _doc(i, text):
