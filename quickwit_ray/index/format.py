@@ -16,15 +16,21 @@ inverted-index semantics re-expressed columnar):
         footer.json         split-level metadata: num_docs, per-field BM25
                             stats, time range, tags, file sizes
 
-Posting-list encoding per term row:
-    doc_ids       binary  int32 little-endian DELTA-encoded doc ids
-                          (first absolute), blocks of BLOCK_SIZE docs
-    tfs           binary  uint32 term frequencies ('' for record=basic -> tf=1)
-    block_last    binary  int32 last doc id of each 128-block (skip data)
-    block_max_tf  binary  int32 max tf within each block (block-max metadata
-                          for Block-Max-WAND-style pruning)
-    positions     binary  int32 token positions, concatenated per posting
-    pos_lens      binary  int32 number of positions per posting
+Posting-list encoding per term row (POSTINGS_SCHEMA; every reader
+decodes by block, so a postings file lacking a column is refused):
+    doc_ids         binary  int32 little-endian DELTA-encoded doc ids
+                            (first absolute), blocks of BLOCK_SIZE docs
+    tfs             binary  uint32 term frequencies ('' for record=basic -> tf=1)
+    block_last      binary  int32 last doc id of each block (skip data)
+    block_max_tf    binary  int32 max tf within each block (block-max metadata
+                            for Block-Max-WAND-style pruning)
+    block_lens      binary  int32 docs per block (sums to df; merged splits
+                            carry short blocks)
+    block_min_norm  binary  uint8 min fieldnorm id per block ('' when the
+                            field omits norms)
+Positions live row-aligned in the positions.parquet sidecar:
+    positions       binary  int32 token positions, concatenated per posting
+    pos_lens        binary  int32 number of positions per posting
 """
 
 from __future__ import annotations
@@ -158,6 +164,8 @@ POSITIONS_SCHEMA = pa.schema([
 
 # columns that constitute the (small, cacheable) term dictionary
 DICT_COLUMNS = ["field", "term", "df", "max_tf"]
+# the posting-list columns, read per row group
+POSTING_COLUMNS = [c for c in POSTINGS_SCHEMA.names if c not in DICT_COLUMNS]
 
 
 DOCSTORE_RG_MAX_ROWS = 8192
@@ -648,50 +656,84 @@ class ExactRowGroupWriter:
 
 
 
-def decode_posting_blocks(deltas: np.ndarray, tfs_all: np.ndarray,
-                          lens: np.ndarray, block_last: np.ndarray,
-                          sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Segmented vectorized decode of an arbitrary posting-block subset
-    -> (absolute doc ids, tfs). Mirrors the scorer's decode_blocks
-    (split_search.term_topk_blockmax) for write-time use."""
-    sel = np.sort(np.asarray(sel, np.int64))
-    lens = np.asarray(lens, np.int64)
-    bl = np.asarray(block_last, np.int64)
-    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    ls = lens[sel]
-    ss = starts[sel]
-    total = int(ls.sum())
-    seg_off = np.concatenate([[0], np.cumsum(ls)[:-1]])
-    big_idx = np.repeat(ss - seg_off, ls) + np.arange(total)
-    d = deltas[big_idx].astype(np.int64)
-    cs = np.cumsum(d)
-    seg_base = cs[seg_off] - d[seg_off]
-    abs_prev = np.where(sel > 0, bl[sel - 1], 0)
-    docs = cs - np.repeat(seg_base, ls) + np.repeat(abs_prev, ls)
-    tfs = (np.ones(total, np.int64) if len(tfs_all) == 0
-           else tfs_all[big_idx].astype(np.int64))
+def open_postings(split_dir: str) -> "pq.ParquetFile":
+    """The split's postings file. Raises ValueError naming the split when
+    it lacks a POSTINGS_SCHEMA column: every reader decodes by block."""
+    pf = _open_parquet(os.path.join(split_dir, POSTINGS_FILE))
+    missing = [c for c in POSTINGS_SCHEMA.names
+               if c not in pf.schema_arrow.names]
+    if missing:
+        raise ValueError(f"split {split_dir}: postings file lacks "
+                         f"column(s) {', '.join(missing)}")
+    return pf
+
+
+def _raw_posting(tbl: pa.Table, i: int) -> dict:
+    """Undecoded buffers of row ``i`` of a posting row group."""
+    def buf(col, dtype):
+        return np.frombuffer(tbl[col][i].as_py() or b"", dtype)
+
+    return {"doc_deltas": buf("doc_ids", np.int32),
+            "tfs": buf("tfs", np.uint32),
+            "block_last": buf("block_last", np.int32),
+            "block_max_tf": buf("block_max_tf", np.int32),
+            "block_lens": buf("block_lens", np.int32),
+            "block_min_norm": buf("block_min_norm", np.uint8)}
+
+
+def decode_posting_blocks(raw: dict, sel: Optional[np.ndarray] = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """(absolute doc ids, tfs), both int64, of one raw posting list (a
+    ``_raw_posting`` entry): the whole list when ``sel`` is None, else
+    only the blocks in ``sel``, in block order. A block's first delta
+    counts from the previous block's last doc id, so the selected blocks
+    decode in one segmented cumsum. A list stored without tfs reads tf 1."""
+    deltas, tfs_all = raw["doc_deltas"], raw["tfs"]
+    if sel is None:
+        idx = slice(None)
+        docs = np.cumsum(deltas, dtype=np.int64)
+    else:
+        sel = np.sort(np.asarray(sel, np.int64))
+        lens = raw["block_lens"].astype(np.int64)
+        ls = lens[sel]
+        total = int(ls.sum())
+        if total == 0:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        seg_off = np.cumsum(ls) - ls
+        idx = np.repeat((np.cumsum(lens) - lens)[sel] - seg_off, ls) \
+            + np.arange(total)
+        d = deltas[idx].astype(np.int64)
+        cs = np.cumsum(d)
+        prev = np.where(sel > 0, raw["block_last"][sel - 1], 0)
+        docs = cs + np.repeat(prev - (cs[seg_off] - d[seg_off]), ls)
+    tfs = (tfs_all[idx].astype(np.int64) if len(tfs_all)
+           else np.ones(len(docs), np.int64))
     return docs, tfs
 
 
-def block_score_bounds(block_max_tf: np.ndarray, block_min_norm: np.ndarray,
-                       nblocks: int, df: float, num_docs: float,
+def block_score_bounds(blocks: dict, df: float, num_docs: float,
                        avgdl: float, flat: bool) -> np.ndarray:
-    """Per-block BM25 score upper bounds (the tantivy BlockWAND pair
-    bound: score(max_tf, shortest doc in block) >= any doc's score in the
-    block). Shared by the scorer's block pruning and the hotcache
+    """Per-block BM25 score upper bounds of a posting list's block
+    metadata (a raw posting or hotcache entry) — the tantivy BlockWAND
+    pair bound: score(max_tf, shortest doc in block) >= any doc's score in
+    the block, so it still prunes flat-tf lists (stopwords, record=basic)
+    where doc length is the only score variation. ``flat`` scores every
+    block at tf 1. Shared by both pruned scorers and the hotcache
     builder's impact ordering."""
     from quickwit_ray.functions.bm25 import B, K1, id_to_fieldnorm
     from quickwit_ray.functions.bm25 import idf as idf_fn
 
+    nblocks = len(blocks["block_lens"])
     bmax = (np.ones(nblocks) if flat
-            else np.asarray(block_max_tf, np.float64))
+            else np.asarray(blocks["block_max_tf"], np.float64))
     w = float(idf_fn(float(df), float(num_docs))) * (1.0 + K1)
-    if len(block_min_norm) == nblocks and nblocks > 0:
-        dl_min = id_to_fieldnorm(np.asarray(block_min_norm, np.uint8)
+    bmin = blocks["block_min_norm"]
+    if len(bmin) == nblocks and nblocks > 0:
+        dl_min = id_to_fieldnorm(np.asarray(bmin, np.uint8)
                                  ).astype(np.float64)
         cache = K1 * (1.0 - B + B * dl_min / max(avgdl, 1e-9))
     else:
-        cache = K1 * (1.0 - B)  # legacy: dl -> 0 bound
+        cache = K1 * (1.0 - B)  # norms omitted: dl -> 0 bound
     return w * bmax / (bmax + cache) * (1.0 + 1e-6)
 
 
@@ -704,13 +746,9 @@ def build_hotcache(split_dir: str, field_stats: dict) -> int:
     scorer seeds its threshold from the embedded blocks and — when every
     other block's bound falls below it — answers the top-k without ever
     touching the 2048-term posting row group. Readers treat the file as
-    optional (legacy splits fall back to the full read). Returns the
-    number of cached terms."""
-    path = os.path.join(split_dir, POSTINGS_FILE)
-    pf = pq.ParquetFile(path)
-    names = pf.schema_arrow.names
-    if "block_lens" not in names:
-        return 0  # legacy layout: no per-block lengths, nothing to seed
+    optional (a split without heavy terms has none). Returns the number
+    of cached terms."""
+    pf = open_postings(split_dir)
     dict_tbl = pf.read(columns=["field", "df"])
     df_all = np.asarray(dict_tbl["df"], np.int64)
     cand = np.nonzero(df_all >= max(HOT_DF_THRESHOLD,
@@ -721,43 +759,28 @@ def build_hotcache(split_dir: str, field_stats: dict) -> int:
         cand = cand[np.argsort(-df_all[cand], kind="stable")[:MAX_HOT_TERMS]]
         cand.sort()
     fields = np.asarray(dict_tbl["field"])
-    cols = ["doc_ids", "tfs", "block_last", "block_max_tf", "block_lens"]
-    has_min_norm = "block_min_norm" in names
-    if has_min_norm:
-        cols.append("block_min_norm")
     rows_out: list[dict] = []
     for rg in sorted({int(r) // TERMS_PER_ROW_GROUP for r in cand}):
-        tbl = pf.read_row_group(rg, columns=cols)
+        tbl = pf.read_row_group(rg, columns=POSTING_COLUMNS)
         for r in (int(c) for c in cand
                   if c // TERMS_PER_ROW_GROUP == rg):
-            i = r - rg * TERMS_PER_ROW_GROUP
-            deltas = np.frombuffer(tbl["doc_ids"][i].as_py() or b"", np.int32)
-            tfs_all = np.frombuffer(tbl["tfs"][i].as_py() or b"", np.uint32)
-            bl = np.frombuffer(tbl["block_last"][i].as_py() or b"", np.int32)
-            bmaxtf = np.frombuffer(tbl["block_max_tf"][i].as_py() or b"",
-                                   np.int32)
-            lens = np.frombuffer(tbl["block_lens"][i].as_py() or b"",
-                                 np.int32).astype(np.int64)
-            bmin = (np.frombuffer(tbl["block_min_norm"][i].as_py() or b"",
-                                  np.uint8) if has_min_norm
-                    else np.empty(0, np.uint8))
-            if len(lens) <= HOT_EMBED_BLOCKS or lens.sum() != df_all[r]:
+            raw = _raw_posting(tbl, r - rg * TERMS_PER_ROW_GROUP)
+            if len(raw["block_lens"]) <= HOT_EMBED_BLOCKS:
                 continue
             st = field_stats.get(str(fields[r]), {})
-            flat = len(tfs_all) == 0
+            flat = len(raw["tfs"]) == 0
             ub = block_score_bounds(
-                bmaxtf, bmin, len(lens), float(df_all[r]),
-                float(st.get("num_docs", 0) or 1),
+                raw, float(df_all[r]), float(st.get("num_docs", 0) or 1),
                 float(st.get("avgdl", 1.0) or 1.0), flat)
             sel = np.sort(np.argsort(-ub, kind="stable")
                           [:HOT_EMBED_BLOCKS]).astype(np.int32)
-            docs, tfs = decode_posting_blocks(deltas, tfs_all, lens, bl, sel)
+            docs, tfs = decode_posting_blocks(raw, sel)
             rows_out.append({
                 "row": r, "df": int(df_all[r]),
-                "block_last": bl.tobytes(),
-                "block_max_tf": bmaxtf.tobytes(),
-                "block_lens": lens.astype(np.int32).tobytes(),
-                "block_min_norm": bmin.tobytes(),
+                "block_last": raw["block_last"].tobytes(),
+                "block_max_tf": raw["block_max_tf"].tobytes(),
+                "block_lens": raw["block_lens"].tobytes(),
+                "block_min_norm": raw["block_min_norm"].tobytes(),
                 "sel": sel.tobytes(),
                 "docs": docs.astype(np.int32).tobytes(),
                 "tfs": tfs.astype(np.uint32).tobytes(),
@@ -775,9 +798,8 @@ def write_footer(split_dir: str, footer: dict) -> None:
     n_hot = 0
     # a split with fewer docs than the df threshold cannot hold a hot
     # term — skip even the dict read (keeps small-split build free)
-    if not os.environ.get("QW_RAY_DISABLE_HOTCACHE") \
-            and int(footer.get("num_docs", 0)) >= max(
-                HOT_DF_THRESHOLD, (HOT_EMBED_BLOCKS + 1) * BLOCK_SIZE):
+    if int(footer.get("num_docs", 0)) >= max(
+            HOT_DF_THRESHOLD, (HOT_EMBED_BLOCKS + 1) * BLOCK_SIZE):
         try:
             n_hot = build_hotcache(split_dir,
                                    footer.get("field_stats") or {})
@@ -814,7 +836,7 @@ class SplitReader:
         # drives the search-admission byte budget (search/permits.py)
         self.bytes_read: int = 0
         # bytes currently RETAINED by this reader's internal caches
-        # (dict columns, row groups, raw/decoded postings, fieldnorms,
+        # (dict columns, row groups, raw postings, fieldnorms,
         # fastfields) — drives the byte-bound reader LRU (the reference's
         # 1 GB fast-field / 500 MB footer cache budgets,
         # node_config/mod.rs:261-266)
@@ -825,7 +847,7 @@ class SplitReader:
             storage.read_bytes(os.path.join(split_dir, FOOTER_FILE)))
         self.num_docs: int = self.footer["num_docs"]
         self.field_stats: dict = self.footer.get("field_stats", {})
-        self._pf = _open_parquet(os.path.join(split_dir, POSTINGS_FILE))
+        self._pf = open_postings(split_dir)
         # LAZY term dictionary (the FST-block analog): the numeric df /
         # max_tf columns load eagerly (scorers index them by global row),
         # but the field/term STRING columns — the bulk of the dictionary
@@ -875,13 +897,12 @@ class SplitReader:
                     self._dict_first_keys[rg] = (str(f_col[s]), str(t_col[s]))
         self._fieldnorms: Optional[pa.Table] = None
         self._fastfields: Optional[pa.Table] = None
-        self._postings_cache: dict[int, dict] = {}
         self._rg_cache: dict = {}
         from collections import OrderedDict as _OD
 
+        # raw (undecoded) posting lists, the only per-reader posting cache
         self._raw_cache: "_OD[int, dict]" = _OD()
         self._pos_pf: Optional[pq.ParquetFile] = None
-        self._legacy_positions = "positions" in self._pf.schema_arrow.names
         # hotcache (impact-ordered hot-term sidecar): row -> row-group
         # index, resolved lazily; None = not probed yet, {} = absent
         self._hot_index: Optional[dict[int, int]] = None
@@ -1044,63 +1065,35 @@ class SplitReader:
 
     def read_postings(self, rows: Iterable[int], with_positions: bool = False
                       ) -> dict[int, dict]:
-        """Fetch decoded postings for dictionary rows. Reads only the parquet
-        row groups that contain the requested rows."""
-        rows = [int(r) for r in rows if r >= 0]
-        need = [r for r in rows if r not in self._postings_cache
-                or (with_positions and "positions" not in self._postings_cache[r])]
-        if need:
-            by_rg: dict[int, list[int]] = {}
-            for r in need:
-                by_rg.setdefault(r // TERMS_PER_ROW_GROUP, []).append(r)
-            cols = ["doc_ids", "tfs", "block_last", "block_max_tf"]
+        """Decoded postings ``{row: {doc_ids, tfs[, positions, pos_lens]}}``
+        for dictionary rows, decoded from the raw entries (row order
+        keeps each posting row group read once). A row's positions join
+        its raw entry on the first positional read."""
+        out: dict[int, dict] = {}
+        for r in sorted({int(r) for r in rows if r >= 0}):
+            raw = self.read_postings_raw(r)
+            docs, tfs = decode_posting_blocks(raw)
+            ent = out[r] = {"doc_ids": docs, "tfs": tfs}
             if with_positions:
-                cols += ["positions", "pos_lens"]
-            for rg, rlist in by_rg.items():
-                tbl = self._row_group(rg, with_positions)
-                base = rg * TERMS_PER_ROW_GROUP
-                for r in rlist:
-                    i = r - base
-                    doc_ids = delta_decode(tbl["doc_ids"][i].as_py() or b"")
-                    tf_buf = tbl["tfs"][i].as_py() or b""
-                    tfs = (np.frombuffer(tf_buf, np.uint32).astype(np.int64)
-                           if tf_buf else np.ones(len(doc_ids), np.int64))
-                    ent = self._postings_cache.get(r, {})
-                    before = sum(v.nbytes for v in ent.values())
-                    ent.update(doc_ids=doc_ids, tfs=tfs,
-                               block_last=np.frombuffer(tbl["block_last"][i].as_py() or b"", np.int32),
-                               block_max_tf=np.frombuffer(tbl["block_max_tf"][i].as_py() or b"", np.int32))
-                    if with_positions:
-                        if self._legacy_positions:
-                            pl = tbl["pos_lens"][i].as_py() or b""
-                            po = tbl["positions"][i].as_py() or b""
-                        else:
-                            po, pl = self._positions_row(r)
-                        ent["pos_lens"] = np.frombuffer(pl, np.int32)
-                        ent["positions"] = np.frombuffer(po, np.int32)
-                    self._postings_cache[r] = ent
-                    self.retained_bytes += \
-                        sum(v.nbytes for v in ent.values()) - before
-        return {r: self._postings_cache[r] for r in rows}
+                if "positions" not in raw:
+                    po, pl = self._positions_row(r)
+                    raw["positions"] = np.frombuffer(po, np.int32)
+                    raw["pos_lens"] = np.frombuffer(pl, np.int32)
+                    self.retained_bytes += len(po) + len(pl)
+                ent["positions"] = raw["positions"]
+                ent["pos_lens"] = raw["pos_lens"]
+        return out
 
-    def _row_group(self, rg: int, with_positions: bool = False) -> "pa.Table":
+    def _row_group(self, rg: int) -> "pa.Table":
         """Small LRU of decompressed posting row groups (the warmup-cache
         analog): repeated term lookups in the same region avoid re-reading
         and re-decompressing 2048-term column chunks."""
-        key = (rg, with_positions and self._legacy_positions)
-        tbl = self._rg_cache.get(key)
+        tbl = self._rg_cache.get(rg)
         if tbl is None:
-            cols = ["doc_ids", "tfs", "block_last", "block_max_tf"]
-            if "block_lens" in self._pf.schema_arrow.names:
-                cols.append("block_lens")
-            if "block_min_norm" in self._pf.schema_arrow.names:
-                cols.append("block_min_norm")
-            if with_positions and self._legacy_positions:
-                cols += ["positions", "pos_lens"]
-            tbl = self._pf.read_row_group(rg, columns=cols)
+            tbl = self._pf.read_row_group(rg, columns=POSTING_COLUMNS)
             self.bytes_read += tbl.nbytes
             self.retained_bytes += tbl.nbytes
-            self._rg_cache[key] = tbl
+            self._rg_cache[rg] = tbl
             if len(self._rg_cache) > 4:
                 dropped = self._rg_cache.pop(next(iter(self._rg_cache)))
                 self.retained_bytes -= dropped.nbytes
@@ -1109,8 +1102,6 @@ class SplitReader:
     def _positions_row(self, row: int) -> tuple[bytes, bytes]:
         """(positions, pos_lens) buffers for one dictionary row from the
         sidecar file (small row groups + LRU); b'' when absent."""
-        from quickwit_ray.index.format import POS_TERMS_PER_ROW_GROUP
-
         if self._pos_pf is None:
             p = os.path.join(self.split_dir, POSITIONS_FILE)
             if not _artifact_exists(p):
@@ -1132,35 +1123,19 @@ class SplitReader:
                 tbl["pos_lens"][i].as_py() or b"")
 
     def read_postings_raw(self, row: int) -> dict:
-        """Raw (undecoded) posting buffers for one dictionary row — the
-        block-max / block-skip paths decode only the blocks they need.
-        Cached per row: ``.as_py()`` copies the binary cell out of the
-        Arrow column (several MB for a stopword), which dominated repeated
-        hot-term queries before this LRU."""
+        """Raw (undecoded) posting buffers for one dictionary row, the
+        input of ``decode_posting_blocks``: the block-max / block-skip
+        paths decode only the blocks they need. Cached per row (an LRU of
+        512): ``.as_py()`` copies the binary cell out of the Arrow column
+        (several MB for a stopword), which dominated repeated hot-term
+        queries before this LRU."""
         row = int(row)
         ent = self._raw_cache.get(row)
         if ent is not None:
             self._raw_cache.move_to_end(row)
             return ent
         rg = row // TERMS_PER_ROW_GROUP
-        tbl = self._row_group(rg)
-        if "block_lens" not in tbl.column_names:
-            ent = {"block_lens": np.empty(0, np.int32)}
-        else:
-            i = row - rg * TERMS_PER_ROW_GROUP
-            ent = {
-                "doc_deltas": np.frombuffer(tbl["doc_ids"][i].as_py() or b"", np.int32),
-                "tfs": np.frombuffer(tbl["tfs"][i].as_py() or b"", np.uint32),
-                "block_last": np.frombuffer(tbl["block_last"][i].as_py() or b"", np.int32),
-                "block_max_tf": np.frombuffer(tbl["block_max_tf"][i].as_py() or b"", np.int32),
-                "block_lens": np.frombuffer(tbl["block_lens"][i].as_py() or b"", np.int32),
-                # valid only when one entry per block (legacy splits and
-                # legacy-mixed merges fail the length check and score unpruned)
-                "block_min_norm": (
-                    np.frombuffer(tbl["block_min_norm"][i].as_py() or b"", np.uint8)
-                    if "block_min_norm" in tbl.column_names
-                    else np.empty(0, np.uint8)),
-            }
+        ent = _raw_posting(self._row_group(rg), row - rg * TERMS_PER_ROW_GROUP)
         self._raw_cache[row] = ent
         self.retained_bytes += sum(v.nbytes for v in ent.values())
         if len(self._raw_cache) > 512:
@@ -1216,41 +1191,17 @@ class SplitReader:
 
     def read_postings_selected(self, row: int, cand_docs: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray]:
-        """(doc_ids, tfs) of one posting list, decoding ONLY the 128-doc
-        blocks that can contain any of ``cand_docs`` (sorted asc) — the
+        """(doc_ids, tfs) of one posting list, decoding ONLY the blocks
+        that can contain any of ``cand_docs`` (sorted asc) — the
         skip-list read of a DAAT-AND: a rare term intersecting a stopword
         list touches a handful of the stopword's blocks instead of
-        delta-decoding millions of postings. Falls back to a full decode
-        for legacy splits without block_lens."""
-        row = int(row)
+        delta-decoding millions of postings."""
         raw = self.read_postings_raw(row)
-        lens = raw["block_lens"].astype(np.int64)
-        if len(lens) == 0 or lens.sum() != self.df[row]:
-            p = self.read_postings([row])[row]
-            return p["doc_ids"], p["tfs"]
-        bl = raw["block_last"].astype(np.int64)
+        bl = raw["block_last"]
         # candidate c lives in the first block whose last doc id >= c
         sel = np.unique(np.searchsorted(bl, np.asarray(cand_docs, np.int64),
                                         side="left"))
-        sel = sel[sel < len(bl)]
-        if len(sel) == 0:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        deltas = raw["doc_deltas"]
-        tfs_all = raw["tfs"]
-        ls = lens[sel]
-        ss = starts[sel]
-        total = int(ls.sum())
-        seg_off = np.concatenate([[0], np.cumsum(ls)[:-1]])
-        big_idx = np.repeat(ss - seg_off, ls) + np.arange(total)
-        d = deltas[big_idx].astype(np.int64)
-        cs = np.cumsum(d)
-        seg_base = cs[seg_off] - d[seg_off]
-        abs_prev = np.where(sel > 0, bl[sel - 1], 0)
-        docs = cs - np.repeat(seg_base, ls) + np.repeat(abs_prev, ls)
-        tfs = (np.ones(total, np.int64) if len(tfs_all) == 0
-               else tfs_all[big_idx].astype(np.int64))
-        return docs, tfs
+        return decode_posting_blocks(raw, sel[sel < len(bl)])
 
     # -- per-doc columns ----------------------------------------------------
 
@@ -1333,17 +1284,23 @@ class SplitReader:
     def read_docstore_table(self, columns: Optional[list[str]] = None
                             ) -> pa.Table:
         """Full sequential doc-store read (delete rewrites, consolidating
-        merges): parquet parts + scanned blob columns, row-aligned."""
-        units = self.docstore_units()
+        merges): parquet parts + scanned blob columns, row-aligned. Of
+        ``columns``, those no unit stores are left out, and a unit that
+        lacks one (the schema widened by later dynamic ingests) reads it
+        as typed nulls, as ``fetch_docs`` does."""
+        if columns is not None:
+            with self._docstore_lock:
+                types = self._docstore_layout()[2]
+            columns = [c for c in dict.fromkeys(columns) if c in types]
         parts = []
-        for u in units:
+        for u in self.docstore_units():
             t = None
             if u["parquet"]:
                 cols = None
                 if columns is not None:
                     present = set(pq.read_schema(u["parquet"]).names)
                     cols = [c for c in columns if c in present]
-                if cols is None or cols:  # columns=[] -> 0-row table
+                if cols is None or cols:
                     t = _read_parquet(u["parquet"], columns=cols)
             for b in u["blobs"]:
                 if columns is not None and b["column"] not in columns:
@@ -1352,7 +1309,11 @@ class SplitReader:
                                        b.get("type", "string")).scan()
                 t = (pa.table({b["column"]: arr}) if t is None
                      else t.append_column(b["column"], arr))
-            if t is None:
+            if columns is not None:
+                t = pa.table({c: t[c] if t is not None and c in t.column_names
+                              else pa.nulls(u["num_docs"], types[c])
+                              for c in columns})
+            elif t is None:
                 raise ValueError("doc-store unit with no readable parts")
             parts.append(t)
         if not parts:

@@ -224,9 +224,9 @@ def _collapsed_binary(arr: pa.Array, term_starts: np.ndarray,
 
 class _SplitPostingsStream:
     """Row-group-at-a-time reader of one split's postings (+ positions
-    sidecar / legacy columns), yielding key-ordered chunks — the input
-    side of the streaming k-way merge. Peak memory per stream = the
-    loaded row groups, never the whole file."""
+    sidecar), yielding key-ordered chunks — the input side of the
+    streaming k-way merge. Peak memory per stream = the loaded row
+    groups, never the whole file."""
 
     def __init__(self, split_dir: str, ord_: int, off: int,
                  rgs_per_refill: int = 8,
@@ -234,8 +234,10 @@ class _SplitPostingsStream:
         from quickwit_ray.index.format import (
             POS_TERMS_PER_ROW_GROUP,
             POSITIONS_FILE,
-            POSTINGS_FILE,
             TERMS_PER_ROW_GROUP,
+            _artifact_exists,
+            _open_parquet,
+            open_postings,
         )
 
         self.split_dir = split_dir
@@ -243,12 +245,9 @@ class _SplitPostingsStream:
         self.off = off
         self.rgs_per_refill = rgs_per_refill
         self.refill_bytes = refill_bytes
-        from quickwit_ray.index.format import _artifact_exists, _open_parquet
-
-        self._pf = _open_parquet(os.path.join(split_dir, POSTINGS_FILE))
+        self._pf = open_postings(split_dir)
         self._n_rg = self._pf.metadata.num_row_groups
         self._next_rg = 0
-        self._legacy_pos = "positions" in self._pf.schema_arrow.names
         pp = os.path.join(split_dir, POSITIONS_FILE)
         self._pos_pf = (_open_parquet(pp) if _artifact_exists(pp) else None)
         self._pos_rows_per_rg = POS_TERMS_PER_ROW_GROUP
@@ -339,17 +338,8 @@ class _SplitPostingsStream:
         take = list(range(start_rg, end_rg))
         row_start = start_rg * self._rows_per_rg
         t = self._pf.read_row_groups(take)
-        if self._legacy_pos:
-            pt = t.select(["positions", "pos_lens"])
-            t = t.drop_columns(["positions", "pos_lens"])
-        else:
-            pt = self._positions_slice(row_start, t.num_rows)
+        pt = self._positions_slice(row_start, t.num_rows)
         n = t.num_rows
-        if "block_min_norm" not in t.column_names:
-            # legacy input split: empty per-term bytes; the merged term's
-            # min-norm length check then fails and readers score unpruned
-            t = t.append_column("block_min_norm",
-                               pa.array([b""] * n, pa.binary()))
         t = t.append_column("positions", pt["positions"])
         t = t.append_column("pos_lens", pt["pos_lens"])
         t = t.append_column("_off", pa.array(np.full(n, self.off, np.int32)))
@@ -487,8 +477,7 @@ def _merge_postings_vectorized(split_dirs: list[str], offsets: np.ndarray,
                                         refill_bytes=per_stream)
                    for i, (d, off) in enumerate(zip(split_dirs, offsets))]
     # write the positions sidecar iff any input carries positions
-    any_positions = any(s._pos_pf is not None or s._legacy_pos
-                       for s in streams)
+    any_positions = any(s._pos_pf is not None for s in streams)
     out = ExactRowGroupWriter(os.path.join(tmp_dir, POSTINGS_FILE),
                                POSTINGS_SCHEMA, TERMS_PER_ROW_GROUP)
     pos_out = (ExactRowGroupWriter(os.path.join(tmp_dir, POSITIONS_FILE),

@@ -468,23 +468,21 @@ def _leaf_search_impl(split_dir: str, mapping: DocMapping,
                 if len(ts) == 1:
                     single = (node.field, ts[0])
         if single is not None:
-            res = searcher.term_topk_blockmax(single[0], single[1], k_hint,
-                                              theta0=theta0)
-            if res is not None:
-                docs, scores_sub, df = res
-                if len(docs) > 4 * k_hint + 64:
-                    # preselect by score, keeping all boundary ties for the
-                    # exact doc-id tie-break
-                    kth = np.partition(-scores_sub, k_hint - 1)[k_hint - 1]
-                    keep = -scores_sub <= kth
-                    docs, scores_sub = docs[keep], scores_sub[keep]
-                order = np.lexsort((-docs, -scores_sub))[:k_hint]
-                return {
-                    "num_hits": int(df), "split_dir": split_dir,
-                    "doc_ids": docs[order].astype(np.int64),
-                    "sort_key0": scores_sub[order].astype(np.float64),
-                    "sort_key1": np.zeros(len(order)),
-                }
+            docs, scores_sub, df = searcher.term_topk_blockmax(
+                single[0], single[1], k_hint, theta0=theta0)
+            if len(docs) > 4 * k_hint + 64:
+                # preselect by score, keeping all boundary ties for the
+                # exact doc-id tie-break
+                kth = np.partition(-scores_sub, k_hint - 1)[k_hint - 1]
+                keep = -scores_sub <= kth
+                docs, scores_sub = docs[keep], scores_sub[keep]
+            order = np.lexsort((-docs, -scores_sub))[:k_hint]
+            return {
+                "num_hits": int(df), "split_dir": split_dir,
+                "doc_ids": docs[order].astype(np.int64),
+                "sort_key0": scores_sub[order].astype(np.float64),
+                "sort_key1": np.zeros(len(order)),
+            }
 
     pruned = None
     # NOTE: gated on timestamp_field is None — the timestamp row-filter is

@@ -17,7 +17,8 @@ import numpy as np
 from quickwit_ray.config import DocMapping
 from quickwit_ray.functions.bm25 import bm25_scores
 from quickwit_ray.functions.tokenizers import tokenize
-from quickwit_ray.index.format import SplitReader
+from quickwit_ray.index.format import (SplitReader, block_score_bounds,
+                                       decode_posting_blocks)
 from quickwit_ray.search.ast import (
     BoolQuery,
     BoostQuery,
@@ -740,9 +741,6 @@ class SplitSearcher:
             bm25_max_score(1.0 if basic else float(self.reader.max_tf[r]),
                            float(self.reader.df[r]), num_docs, avgdl)
             for r in rows])
-        from quickwit_ray.functions.bm25 import (B, K1, id_to_fieldnorm,
-                                                 idf as idf_fn)
-
         order = np.argsort(-ubs, kind="stable")
         rows, ubs = rows[order], ubs[order]
         norms = self.reader.fieldnorm_ids(field)
@@ -751,37 +749,21 @@ class SplitSearcher:
         theta = -np.inf if theta0 is None else float(theta0)
         eps = 1e-6
         for i, r in enumerate(rows):
-            df_i = float(self.reader.df[int(r)])
             raw = self.reader.read_postings_raw(int(r))
-            lens_b = raw["block_lens"].astype(np.int64)
-            bmin_norm = raw.get("block_min_norm", np.empty(0, np.uint8))
-            ub_doc = None
-            if len(lens_b) and lens_b.sum() == df_i:
-                docs = np.cumsum(raw["doc_deltas"].astype(np.int64))
-                tfs_raw = raw["tfs"]
-                tfs = (np.ones(len(docs), np.int64)
-                       if basic or len(tfs_raw) == 0
-                       else tfs_raw.astype(np.int64))
-                if len(bmin_norm) == len(lens_b):
-                    # per-block (max tf, min fieldnorm) score bound — same
-                    # pair as term_topk_blockmax: strictly tighter than the
-                    # term-level ubs[i], so the candidate test below prunes
-                    # at 128-doc-block granularity (stopword blocks full of
-                    # long docs drop out even when tf is flat)
-                    bmax = (np.ones(len(lens_b))
-                            if basic or len(tfs_raw) == 0
-                            else raw["block_max_tf"].astype(np.float64))
-                    dl_min = id_to_fieldnorm(bmin_norm).astype(np.float64)
-                    cache = K1 * (1.0 - B + B * dl_min / max(avgdl, 1e-9))
-                    w = float(idf_fn(df_i, num_docs)) * (1.0 + K1)
-                    ub_doc = np.repeat(w * bmax / (bmax + cache)
-                                       * (1.0 + 1e-6), lens_b)
-            else:  # legacy split without block_lens
-                p = self.reader.read_postings([int(r)])[int(r)]
-                docs = p["doc_ids"]
-                tfs = np.ones(len(docs), np.int64) if basic else p["tfs"]
+            docs, tfs = decode_posting_blocks(raw)
             if len(docs) == 0:
                 continue
+            if basic:
+                tfs = np.ones(len(docs), np.int64)
+            ub_doc = None
+            if len(raw["block_min_norm"]) == len(raw["block_lens"]):
+                # per-block (max tf, min fieldnorm) score bound: strictly
+                # tighter than the term-level ubs[i], so the candidate
+                # test below prunes at block granularity (stopword blocks
+                # full of long docs drop out even when tf is flat)
+                ub_doc = np.repeat(block_score_bounds(
+                    raw, float(self.reader.df[int(r)]), num_docs, avgdl,
+                    basic or len(raw["tfs"]) == 0), raw["block_lens"])
             if theta == -np.inf:
                 docs_s, tfs_s = docs, tfs
             else:
@@ -809,13 +791,11 @@ class SplitSearcher:
     def term_topk_blockmax(self, field: str, term: str, k: int,
                            theta0: Optional[float] = None):
         """Block-Max top-k for a SINGLE scored term: per-block score upper
-        bounds from the stored block_max_tf prune whole 128-doc blocks —
-        only blocks whose bound clears the running kth-best score are
-        decoded and scored. Returns (doc_ids, scores) of the exact top-k
-        plus the term's df (exact num_hits), or None when the dictionary
-        misses the term."""
-        from quickwit_ray.functions.bm25 import K1, B, idf as idf_fn
-
+        bounds (``block_score_bounds``) prune whole blocks — only blocks
+        whose bound clears the running kth-best score are decoded and
+        scored. Returns (doc_ids, scores, df): the candidates, which hold
+        the exact top-k, and the term's df (exact num_hits); empty
+        arrays and df 0 when the dictionary misses the term."""
         rows = self.reader.term_rows(field, [term])
         if rows[0] < 0:
             return np.empty(0, np.int64), np.empty(0, np.float32), 0
@@ -824,6 +804,7 @@ class SplitSearcher:
         fm = self.mapping.resolve_field(field) if _has_field(self.mapping, field) else None
         basic = fm is not None and fm.record == "basic"
         df = float(self.reader.df[row])
+        norms = self.reader.fieldnorm_ids(field)
         # hotcache fast path (hot_directory.rs analog): score the
         # pre-decoded top-impact blocks from the tiny sidecar; when every
         # non-embedded block's bound falls below the resulting kth score,
@@ -834,75 +815,35 @@ class SplitSearcher:
         # duplicates, exact).
         hot = (self.reader.hot_entry(row)
                if self.reader.raw_cached(row) is None else None)
-        if hot is not None and hot["df"] == int(df) \
-                and len(hot["block_lens"]):
-            from quickwit_ray.index.format import block_score_bounds
-
-            lens_h = hot["block_lens"].astype(np.int64)
+        if hot is not None and hot["df"] == int(df):
             flat_h = basic or not hot["has_tfs"]
-            ub_h = block_score_bounds(hot["block_max_tf"],
-                                      hot["block_min_norm"], len(lens_h),
-                                      df, num_docs, avgdl, flat_h)
-            norms_h = self.reader.fieldnorm_ids(field)
+            ub_h = block_score_bounds(hot, df, num_docs, avgdl, flat_h)
             docs1 = hot["docs"].astype(np.int64)
             tfs1 = (np.ones(len(docs1), np.int64) if flat_h
                     else hot["tfs"].astype(np.int64))
-            scores1 = bm25_scores(tfs1, norms_h[docs1], df=df,
+            scores1 = bm25_scores(tfs1, norms[docs1], df=df,
                                   num_docs=num_docs, avgdl=avgdl)
             if len(scores1) >= k:
                 theta_h = float(np.partition(
                     scores1, len(scores1) - k)[len(scores1) - k])
                 if theta0 is not None:
                     theta_h = max(theta_h, float(theta0))
-                restmask = np.ones(len(lens_h), bool)
+                restmask = np.ones(len(ub_h), bool)
                 restmask[hot["sel"]] = False
                 if not np.any(restmask & (ub_h >= theta_h)):
                     return docs1, scores1, int(df)
                 theta0 = theta_h  # seed the full path
         raw = self.reader.read_postings_raw(row)
-        lens = raw["block_lens"].astype(np.int64)
-        if len(lens) == 0 or lens.sum() != self.reader.df[row]:
-            # legacy split without block_lens: fall back to full scoring
-            return None
-        bmax = (np.ones(len(lens)) if basic or len(raw["tfs"]) == 0
-                else raw["block_max_tf"].astype(np.float64))
-        w = float(idf_fn(df, num_docs)) * (1.0 + K1)
-        bmin_norm = raw.get("block_min_norm", np.empty(0, np.uint8))
-        if len(bmin_norm) == len(lens) and len(lens) > 0:
-            # per-block (max tf, min fieldnorm) score bound — the tantivy
-            # BlockWAND pair analog: score(max_tf, shortest doc in block)
-            # >= any doc's score in the block. Unlike the tf-only bound
-            # (dl -> 0) this still prunes FLAT-tf lists (stopwords,
-            # record=basic) where doc length is the only score variation.
-            from quickwit_ray.functions.bm25 import id_to_fieldnorm
+        lens = raw["block_lens"]
+        ub = block_score_bounds(raw, df, num_docs, avgdl,
+                                basic or len(raw["tfs"]) == 0)
 
-            dl_min = id_to_fieldnorm(bmin_norm).astype(np.float64)
-            cache = K1 * (1.0 - B + B * dl_min / max(avgdl, 1e-9))
-        else:
-            cache = K1 * (1.0 - B)  # legacy split: dl -> 0 bound
-        ub = w * bmax / (bmax + cache) * (1.0 + 1e-6)
-        starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        norms = self.reader.fieldnorm_ids(field)
-        deltas = raw["doc_deltas"]
-        tfs_all = raw["tfs"]
-        bl = raw["block_last"].astype(np.int64)
-
-        def decode_blocks(sel: np.ndarray):
-            """Segmented vectorized decode of an arbitrary block subset."""
-            sel = np.sort(sel)
-            ls = lens[sel]
-            ss = starts[sel]
-            total = int(ls.sum())
-            seg_off = np.concatenate([[0], np.cumsum(ls)[:-1]])
-            big_idx = np.repeat(ss - seg_off, ls) + np.arange(total)
-            d = deltas[big_idx].astype(np.int64)
-            cs = np.cumsum(d)
-            seg_base = cs[seg_off] - d[seg_off]
-            abs_prev = np.where(sel > 0, bl[sel - 1], 0)
-            docs = cs - np.repeat(seg_base, ls) + np.repeat(abs_prev, ls)
-            tfs = (np.ones(total, np.int64) if basic or len(tfs_all) == 0
-                   else tfs_all[big_idx].astype(np.int64))
-            return docs, tfs
+        def scored(sel: Optional[np.ndarray]):
+            docs, tfs = decode_posting_blocks(raw, sel)
+            if basic:
+                tfs = np.ones(len(docs), np.int64)
+            return docs, bm25_scores(tfs, norms[docs], df=df,
+                                     num_docs=num_docs, avgdl=avgdl)
 
         order = np.argsort(-ub, kind="stable")
         # round 1: best-bound blocks covering a few k docs -> threshold.
@@ -912,10 +853,7 @@ class SplitSearcher:
         covered = np.cumsum(lens[order])
         n1 = int(np.searchsorted(covered, max(4 * k, 1024))) + 1
         n1 = max(n1, min(len(lens), 2 * k))
-        sel1 = order[:n1]
-        docs1, tfs1 = decode_blocks(sel1)
-        scores1 = bm25_scores(tfs1, norms[docs1], df=df, num_docs=num_docs,
-                              avgdl=avgdl)
+        docs1, scores1 = scored(order[:n1])
         if len(scores1) >= k:
             theta = float(np.partition(scores1, len(scores1) - k)[len(scores1) - k])
         else:
@@ -928,16 +866,9 @@ class SplitSearcher:
         if len(rest) > 0.8 * max(len(lens) - n1, 1):
             # bound prunes almost nothing (flat tf distribution): one plain
             # contiguous decode beats the segmented gather
-            docs = np.cumsum(deltas.astype(np.int64))
-            tfs = (np.ones(len(docs), np.int64) if basic or len(tfs_all) == 0
-                   else tfs_all.astype(np.int64))
-            scores = bm25_scores(tfs, norms[docs], df=df, num_docs=num_docs,
-                                 avgdl=avgdl)
-            return docs, scores, int(df)
+            return (*scored(None), int(df))
         if len(rest):
-            docs2, tfs2 = decode_blocks(rest)
-            scores2 = bm25_scores(tfs2, norms[docs2], df=df, num_docs=num_docs,
-                                  avgdl=avgdl)
+            docs2, scores2 = scored(rest)
             docs = np.concatenate([docs1, docs2])
             scores = np.concatenate([scores1, scores2])
         else:

@@ -273,7 +273,11 @@ def test_otlp_http_ingest(tmp_path):
 
 def test_delete_tasks_api_and_node_endpoints(tmp_path):
     from quickwit_ray.config import index_config_from_api_json
+    from quickwit_ray.search import engine
 
+    # the leaf actor pool is process-global: an earlier test may have
+    # started it, and its actors would list as live nodes
+    engine.shutdown_shared_actor_pool()
     cfg = index_config_from_api_json({
         "version": "0.8", "index_id": "logsdel",
         "doc_mapping": {"field_mappings": [

@@ -189,20 +189,8 @@ def test_blockskip_selected_decode_exact(zipf_index):
     sm = s.manifest.published_splits()[0]
     reader = _GLOBAL_READER_CACHE.get(
         _os.path.join(zipf_index, "splits", sm.split_id))
-    row = int(reader.term_rows("text", ["aaterm0"])[0])
-    full = reader.read_postings([row])[row]
-    docs_full, tfs_full = full["doc_ids"], full["tfs"]
-    rng = np.random.default_rng(1)
-    cands = np.sort(rng.choice(reader.num_docs, size=17, replace=False))
-    docs_sel, tfs_sel = reader.read_postings_selected(row, cands)
-    # selected docs are a subset, in order, and cover every candidate hit
-    assert np.isin(docs_sel, docs_full).all()
-    assert (np.diff(docs_sel) > 0).all()
-    in_full = np.isin(cands, docs_full)
-    assert np.isin(cands[in_full], docs_sel).all()
-    # tfs agree with the full decode at the same docs
-    pos = np.searchsorted(docs_full, docs_sel)
-    assert (tfs_full[pos] == tfs_sel).all()
+    _check_selected_decode(
+        reader, int(reader.term_rows("text", ["aaterm0"])[0]))
 
 
 def test_blockmax_flat_tf_min_norm_prunes(tmp_path):
@@ -327,3 +315,109 @@ def test_or_flat_tf_block_bounds_prune(tmp_path):
     assert np.allclose(scores_p[surv], scores_f[surv], rtol=1e-6, atol=1e-9)
     spared = (scores_p[mask_p] < scores_f[mask_p] - 1e-9).mean()
     assert spared > 0.9, f"only {spared:.0%} of docs spared full scoring"
+
+
+@pytest.fixture(scope="module", params=["builder", "shuffle", "merged"])
+def built_split_dirs(request, tmp_path_factory):
+    """Split dirs of one pages corpus written by each postings writer:
+    the SplitBuilder (direct build), the groupby-term shuffle build, and
+    the streaming merge of the direct build's splits."""
+    import os
+
+    from quickwit_ray.config import MergePolicyConfig
+    from quickwit_ray.index.merge import run_merge_pipeline
+    from quickwit_ray.state.manifest import Manifest
+
+    paths = ensure_pages(str(tmp_path_factory.getbasetemp() / "blockpages"),
+                         3000, 6, filler_bytes=256)
+    d = str(tmp_path_factory.mktemp(request.param) / "idx")
+    cfg = IndexConfig("pages", pages_doc_mapping(),
+                      IndexSettings(split_num_docs_target=100_000,
+                                    commit_docs_threshold=500,
+                                    store_binary_columns=False,
+                                    merge_policy=MergePolicyConfig(
+                                        merge_factor=3, max_merge_factor=6,
+                                        min_level_num_docs=1000)))
+    if request.param == "shuffle":
+        from quickwit_ray.index.build_shuffle import build_index_shuffle
+
+        request.getfixturevalue("ray_session")
+        build_index_shuffle(paths, d, cfg)
+    else:
+        build_index(paths, d, cfg, execution="local")
+        if request.param == "merged":
+            run_merge_pipeline(d, execution="local")
+    return request.param, [os.path.join(d, "splits", sm.split_id)
+                           for sm in Manifest(d).published_splits()]
+
+
+def _check_selected_decode(reader, row):
+    full = reader.read_postings([row])[row]
+    docs_full, tfs_full = full["doc_ids"], full["tfs"]
+    rng = np.random.default_rng(1)
+    cands = np.sort(rng.choice(reader.num_docs, size=17, replace=False))
+    docs_sel, tfs_sel = reader.read_postings_selected(row, cands)
+    # selected docs are a subset, in order, and cover every candidate hit
+    assert np.isin(docs_sel, docs_full).all()
+    assert (np.diff(docs_sel) > 0).all()
+    in_full = np.isin(cands, docs_full)
+    assert np.isin(cands[in_full], docs_sel).all()
+    # tfs agree with the full decode at the same docs
+    pos = np.searchsorted(docs_full, docs_sel)
+    assert (tfs_full[pos] == tfs_sel).all()
+
+
+def test_posting_blocks_cover_df(built_split_dirs):
+    """Every posting list any writer produces is block-decodable: its
+    block_lens sum to the dictionary df, block_min_norm holds one byte
+    per block or none (norms omitted), and decoding every block equals
+    the whole-list decode, ending each block at its block_last."""
+    from quickwit_ray.index.format import SplitReader, decode_posting_blocks
+
+    kind, split_dirs = built_split_dirs
+    short_inner_blocks = False
+    for d in split_dirs:
+        reader = SplitReader(d)
+        for row in range(len(reader.df)):
+            raw = reader.read_postings_raw(row)
+            lens = raw["block_lens"]
+            assert int(lens.sum()) == reader.df[row], (d, row)
+            assert len(raw["block_min_norm"]) in (0, len(lens)), (d, row)
+            assert len(raw["block_last"]) == len(raw["block_max_tf"]) \
+                == len(lens)
+            docs, tfs = decode_posting_blocks(raw)
+            docs_b, tfs_b = decode_posting_blocks(raw, np.arange(len(lens)))
+            assert (docs == docs_b).all() and (tfs == tfs_b).all()
+            assert (docs[np.cumsum(lens) - 1] == raw["block_last"]).all()
+            short_inner_blocks |= bool((lens[:-1] < 128).any())
+        _check_selected_decode(reader, int(np.argmax(reader.df)))
+    # a merge concatenates its inputs' blocks, short tail blocks included
+    assert short_inner_blocks == (kind == "merged")
+
+
+def test_split_without_block_lens_is_refused(zipf_index, tmp_path):
+    """A postings file without block_lens is refused when a reader or a
+    merge opens it, with a ValueError naming the split."""
+    import os
+    import re
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from quickwit_ray.index.format import (POSTINGS_FILE, TERMS_PER_ROW_GROUP,
+                                           SplitReader)
+    from quickwit_ray.index.merge import _SplitPostingsStream
+    from quickwit_ray.state.manifest import Manifest
+
+    sm = Manifest(zipf_index).published_splits()[0]
+    d = str(tmp_path / sm.split_id)
+    shutil.copytree(os.path.join(zipf_index, "splits", sm.split_id), d)
+    SplitReader(d)
+    p = os.path.join(d, POSTINGS_FILE)
+    pq.write_table(pq.read_table(p).drop_columns(["block_lens"]), p,
+                   row_group_size=TERMS_PER_ROW_GROUP)
+    named = re.escape(sm.split_id) + ".*block_lens"
+    with pytest.raises(ValueError, match=named):
+        SplitReader(d)
+    with pytest.raises(ValueError, match=named):
+        _SplitPostingsStream(d, 0, 0)
