@@ -48,6 +48,8 @@ TERMS_PER_ROW_GROUP = 2048  # dictionary rows per parquet row group
 # positions live in their own file with SMALL row groups: a phrase query
 # touching 2 terms decompresses ~256 terms' positions, not 2048 terms'
 POS_TERMS_PER_ROW_GROUP = 256
+# raw posting lists a SplitReader keeps (an LRU, SplitReader._cache_raw)
+RAW_CACHE_ROWS = 512
 
 POSTINGS_FILE = "postings.parquet"
 POSITIONS_FILE = "positions.parquet"
@@ -899,17 +901,18 @@ class SplitReader:
         self._fastfields: Optional[pa.Table] = None
         self._rg_cache: dict = {}
         from collections import OrderedDict as _OD
+        import threading
 
-        # raw (undecoded) posting lists, the only per-reader posting cache
+        # raw (undecoded) posting lists, the only per-reader posting
+        # cache; entries are never changed once entered (see _cache_raw)
         self._raw_cache: "_OD[int, dict]" = _OD()
+        self._raw_lock = threading.Lock()
         self._pos_pf: Optional[pq.ParquetFile] = None
         # hotcache (impact-ordered hot-term sidecar): row -> row-group
         # index, resolved lazily; None = not probed yet, {} = absent
         self._hot_index: Optional[dict[int, int]] = None
         self._hot_pf: Optional[pq.ParquetFile] = None
         self._hot_cache: dict[int, dict] = {}
-        import threading
-
         self._docstore_lock = threading.Lock()
         # doc-store layout, opened on the first fetch, and the decoded
         # blocks fetches keep (see _docstore_block)
@@ -1068,18 +1071,25 @@ class SplitReader:
         """Decoded postings ``{row: {doc_ids, tfs[, positions, pos_lens]}}``
         for dictionary rows, decoded from the raw entries (row order
         keeps each posting row group read once). A row's positions join
-        its raw entry on the first positional read."""
+        its raw entry on the first positional read. A call spanning more
+        rows than the raw LRU holds (a wide wildcard / regex / prefix
+        expansion) decodes the rows it finds uncached without entering
+        them, so it cannot evict the entries of the hot terms."""
+        rows = sorted({int(r) for r in rows if r >= 0})
+        enter = len(rows) <= RAW_CACHE_ROWS
         out: dict[int, dict] = {}
-        for r in sorted({int(r) for r in rows if r >= 0}):
-            raw = self.read_postings_raw(r)
+        for r in rows:
+            raw = (self.read_postings_raw(r) if enter
+                   else self.raw_cached(r) or self._raw_row(r))
             docs, tfs = decode_posting_blocks(raw)
             ent = out[r] = {"doc_ids": docs, "tfs": tfs}
             if with_positions:
                 if "positions" not in raw:
                     po, pl = self._positions_row(r)
-                    raw["positions"] = np.frombuffer(po, np.int32)
-                    raw["pos_lens"] = np.frombuffer(pl, np.int32)
-                    self.retained_bytes += len(po) + len(pl)
+                    raw = {**raw, "positions": np.frombuffer(po, np.int32),
+                           "pos_lens": np.frombuffer(pl, np.int32)}
+                    if enter:
+                        self._cache_raw(r, raw)
                 ent["positions"] = raw["positions"]
                 ent["pos_lens"] = raw["pos_lens"]
         return out
@@ -1088,12 +1098,13 @@ class SplitReader:
         """Small LRU of decompressed posting row groups (the warmup-cache
         analog): repeated term lookups in the same region avoid re-reading
         and re-decompressing 2048-term column chunks."""
-        tbl = self._rg_cache.get(rg)
+        key = ("postings", rg)
+        tbl = self._rg_cache.get(key)
         if tbl is None:
             tbl = self._pf.read_row_group(rg, columns=POSTING_COLUMNS)
             self.bytes_read += tbl.nbytes
             self.retained_bytes += tbl.nbytes
-            self._rg_cache[rg] = tbl
+            self._rg_cache[key] = tbl
             if len(self._rg_cache) > 4:
                 dropped = self._rg_cache.pop(next(iter(self._rg_cache)))
                 self.retained_bytes -= dropped.nbytes
@@ -1126,22 +1137,38 @@ class SplitReader:
         """Raw (undecoded) posting buffers for one dictionary row, the
         input of ``decode_posting_blocks``: the block-max / block-skip
         paths decode only the blocks they need. Cached per row (an LRU of
-        512): ``.as_py()`` copies the binary cell out of the Arrow column
-        (several MB for a stopword), which dominated repeated hot-term
-        queries before this LRU."""
+        RAW_CACHE_ROWS): ``.as_py()`` copies the binary cell out of the
+        Arrow column (several MB for a stopword), which dominated repeated
+        hot-term queries before this LRU."""
         row = int(row)
-        ent = self._raw_cache.get(row)
-        if ent is not None:
-            self._raw_cache.move_to_end(row)
-            return ent
-        rg = row // TERMS_PER_ROW_GROUP
-        ent = _raw_posting(self._row_group(rg), row - rg * TERMS_PER_ROW_GROUP)
-        self._raw_cache[row] = ent
-        self.retained_bytes += sum(v.nbytes for v in ent.values())
-        if len(self._raw_cache) > 512:
-            _, dropped = self._raw_cache.popitem(last=False)
-            self.retained_bytes -= sum(v.nbytes for v in dropped.values())
+        with self._raw_lock:
+            ent = self._raw_cache.get(row)
+            if ent is not None:
+                self._raw_cache.move_to_end(row)
+                return ent
+        ent = self._raw_row(row)
+        self._cache_raw(row, ent)
         return ent
+
+    def _raw_row(self, row: int) -> dict:
+        rg = row // TERMS_PER_ROW_GROUP
+        return _raw_posting(self._row_group(rg), row - rg * TERMS_PER_ROW_GROUP)
+
+    def _cache_raw(self, row: int, ent: dict) -> None:
+        """Enter (or replace) a row's raw entry. The LRU and its share of
+        ``retained_bytes`` change together under one lock, and an entry
+        is never changed once entered, so leaf searches sharing the
+        reader count each entry's bytes exactly once."""
+        def size(e):
+            return sum(v.nbytes for v in e.values())
+
+        with self._raw_lock:
+            old = self._raw_cache.pop(row, None)
+            self._raw_cache[row] = ent
+            delta = size(ent) - (size(old) if old is not None else 0)
+            if len(self._raw_cache) > RAW_CACHE_ROWS:
+                delta -= size(self._raw_cache.popitem(last=False)[1])
+            self.retained_bytes += delta
 
     def raw_cached(self, row: int) -> Optional[dict]:
         """The already-decompressed raw entry, if any (the scorer prefers
