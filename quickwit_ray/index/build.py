@@ -316,10 +316,14 @@ def garbage_collect(index_dir: str, grace_period_secs: float = 0.0) -> list[str]
             # without this, a freshly uploaded-but-not-yet-published
             # split dir would look infinitely old and be reaped before
             # its publish lands. Age = newest contained object (upload
-            # completion time).
+            # completion time). A prefix that lists no objects is left
+            # alone: a real store has none, and mock-s3's is a PUT that
+            # has made its directory but not yet opened its object.
             try:
-                mt = max((storage.getmtime(storage.join(p, f))
-                          for f in storage.listdir(p)), default=0.0)
+                objs = storage.listdir(p)
+                if not objs:
+                    continue
+                mt = max(storage.getmtime(storage.join(p, f)) for f in objs)
             except OSError:
                 mt = 0.0
         # the grace period protects IN-FLIGHT readers, so it runs from

@@ -48,8 +48,6 @@ TERMS_PER_ROW_GROUP = 2048  # dictionary rows per parquet row group
 # positions live in their own file with SMALL row groups: a phrase query
 # touching 2 terms decompresses ~256 terms' positions, not 2048 terms'
 POS_TERMS_PER_ROW_GROUP = 256
-# raw posting lists a SplitReader keeps (an LRU, SplitReader._cache_raw)
-RAW_CACHE_ROWS = 512
 
 POSTINGS_FILE = "postings.parquet"
 POSITIONS_FILE = "positions.parquet"
@@ -172,9 +170,9 @@ POSTING_COLUMNS = [c for c in POSTINGS_SCHEMA.names if c not in DICT_COLUMNS]
 
 DOCSTORE_RG_MAX_ROWS = 8192
 DOCSTORE_RG_TARGET_BYTES = 4 << 20  # raw bytes per doc-store row group
-# decoded doc-store blocks (row groups, blob frames) one SplitReader
-# keeps for repeated fetches, least recently used dropped first
-DOCSTORE_BLOCK_CACHE_BYTES = 16 << 20
+# posting / positions row groups and decoded doc-store blocks one
+# SplitReader keeps, least recently used dropped first (_SplitCache)
+SPLIT_CACHE_BYTES = 16 << 20
 
 
 def docstore_row_group_size(tbl: pa.Table) -> int:
@@ -670,17 +668,42 @@ def open_postings(split_dir: str) -> "pq.ParquetFile":
     return pf
 
 
-def _raw_posting(tbl: pa.Table, i: int) -> dict:
-    """Undecoded buffers of row ``i`` of a posting row group."""
-    def buf(col, dtype):
-        return np.frombuffer(tbl[col][i].as_py() or b"", dtype)
+def _binary_views(tbl: pa.Table) -> tuple[dict, int]:
+    """``{column: (offsets, data)}``: numpy views of the offset and data
+    buffers of a row group's binary columns (no copy), and their bytes."""
+    cols = {}
+    for name in tbl.column_names:
+        col = tbl[name]
+        arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+        _, offs, data = arr.buffers()
+        cols[name] = (np.frombuffer(offs, np.int32)
+                      [arr.offset:arr.offset + len(arr) + 1],
+                      np.frombuffer(data, np.uint8))
+    return cols, sum(o.nbytes + d.nbytes for o, d in cols.values())
 
-    return {"doc_deltas": buf("doc_ids", np.int32),
-            "tfs": buf("tfs", np.uint32),
-            "block_last": buf("block_last", np.int32),
-            "block_max_tf": buf("block_max_tf", np.int32),
-            "block_lens": buf("block_lens", np.int32),
-            "block_min_norm": buf("block_min_norm", np.uint8)}
+
+def _cell(cols: dict, name: str, i: int, dtype) -> np.ndarray:
+    """Row ``i`` of a ``_binary_views`` column as a zero-copy array."""
+    o, d = cols[name]
+    return d[o[i]:o[i + 1]].view(dtype)
+
+
+# (raw entry key, posting column, dtype) of a raw posting entry
+_RAW_POSTING = (("doc_deltas", "doc_ids", np.int32), ("tfs", "tfs", np.uint32),
+                ("block_last", "block_last", np.int32),
+                ("block_max_tf", "block_max_tf", np.int32),
+                ("block_lens", "block_lens", np.int32),
+                ("block_min_norm", "block_min_norm", np.uint8))
+
+
+def _raw_posting(cols: dict, i: int) -> dict:
+    """Undecoded buffers of row ``i`` of a posting row group (its
+    ``_binary_views``), zero-copy slices."""
+    out = {}
+    for key, name, dtype in _RAW_POSTING:
+        o, d = cols[name]
+        out[key] = d[o[i]:o[i + 1]].view(dtype)
+    return out
 
 
 def decode_posting_blocks(raw: dict, sel: Optional[np.ndarray] = None
@@ -763,7 +786,7 @@ def build_hotcache(split_dir: str, field_stats: dict) -> int:
     fields = np.asarray(dict_tbl["field"])
     rows_out: list[dict] = []
     for rg in sorted({int(r) // TERMS_PER_ROW_GROUP for r in cand}):
-        tbl = pf.read_row_group(rg, columns=POSTING_COLUMNS)
+        tbl, _ = _binary_views(pf.read_row_group(rg, columns=POSTING_COLUMNS))
         for r in (int(c) for c in cand
                   if c // TERMS_PER_ROW_GROUP == rg):
             raw = _raw_posting(tbl, r - rg * TERMS_PER_ROW_GROUP)
@@ -826,23 +849,84 @@ def write_footer(split_dir: str, footer: dict) -> None:
         json.dump(footer, f, separators=(",", ":"))
 
 
+def _sized(obj) -> tuple:
+    """``(obj, obj.nbytes)``: a ``_SplitCache`` load result."""
+    return obj, obj.nbytes
+
+
+class _SplitCache:
+    """Every lazy load of one SplitReader, which all requests on the split
+    share (HTTP handler threads, the leaf pool). ``get`` loads a missing
+    key outside the lock (I/O releases the GIL) and inserts it under the
+    lock unless another thread got there first. ``bytes_read`` counts
+    every load and ``retained_bytes`` the bytes held, both changed only
+    under the lock. Evictable entries (posting / positions row groups,
+    doc-store blocks) drop least recently used first while they hold
+    more than SPLIT_CACHE_BYTES, the most recent always kept; resident
+    entries (dictionary, fieldnorms, fast fields, hotcache) stay for the
+    reader's life."""
+
+    def __init__(self):
+        import threading
+        from collections import OrderedDict
+
+        self._lock = threading.Lock()
+        self._resident: dict = {}
+        self._lru: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._lru_bytes = 0
+        self.bytes_read = 0
+        self.retained_bytes = 0
+
+    def get(self, key: tuple, load, evict: bool = False) -> Any:
+        """The value under ``key``; on a miss ``load()`` returns
+        ``(value, nbytes)``, nbytes being the bytes the load read."""
+        with self._lock:
+            if key in self._resident:
+                return self._resident[key][0]
+            if key in self._lru:
+                self._lru.move_to_end(key)
+                return self._lru[key][0]
+        value, nbytes = load()
+        with self._lock:
+            self.bytes_read += nbytes
+            held = self._resident.get(key) or self._lru.get(key)
+            if held is not None:
+                return held[0]
+            (self._lru if evict else self._resident)[key] = (value, nbytes)
+            self.retained_bytes += nbytes
+            if evict:
+                self._lru_bytes += nbytes
+                while (self._lru_bytes > SPLIT_CACHE_BYTES
+                       and len(self._lru) > 1):
+                    _, (_, n) = self._lru.popitem(last=False)
+                    self._lru_bytes -= n
+                    self.retained_bytes -= n
+        return value
+
+    def peek(self, key: tuple) -> Any:
+        """The value under ``key`` if held (the LRU order unchanged), else
+        None."""
+        with self._lock:
+            held = self._resident.get(key) or self._lru.get(key)
+        return held[0] if held is not None else None
+
+    def entries(self) -> list[tuple[tuple, Any, int]]:
+        """``(key, value, nbytes)`` of every held entry."""
+        with self._lock:
+            return [(k, v, n) for d in (self._resident, self._lru)
+                    for k, (v, n) in d.items()]
+
+
 class SplitReader:
     """Open one split for search. The term dictionary (4 small columns) is
     loaded once and kept; heavy posting columns are read per row group on
     demand — the analog of the reference's hotcache + warmup byte-range
-    reads (`quickwit-search/src/leaf.rs:207-409`)."""
+    reads (`quickwit-search/src/leaf.rs:207-409`). Every load goes
+    through one ``_SplitCache``."""
 
     def __init__(self, split_dir: str):
         self.split_dir = split_dir
-        # cumulative decompressed bytes materialized by this reader —
-        # drives the search-admission byte budget (search/permits.py)
-        self.bytes_read: int = 0
-        # bytes currently RETAINED by this reader's internal caches
-        # (dict columns, row groups, raw postings, fieldnorms,
-        # fastfields) — drives the byte-bound reader LRU (the reference's
-        # 1 GB fast-field / 500 MB footer cache budgets,
-        # node_config/mod.rs:261-266)
-        self.retained_bytes: int = 0
+        self._cache = _SplitCache()
         from quickwit_ray import storage
 
         self.footer = json.loads(
@@ -857,19 +941,17 @@ class SplitReader:
         # binary-search across row groups probing only first keys. A cold
         # top-k touches O(log #rowgroups) dictionary row groups instead
         # of the whole string dictionary.
-        dict_tbl = self._pf.read(columns=["df", "max_tf"])
-        self.bytes_read += dict_tbl.nbytes
-        self.retained_bytes += dict_tbl.nbytes
-        self.df = np.asarray(dict_tbl["df"], np.int64)
-        self.max_tf = np.asarray(dict_tbl["max_tf"], np.int64)
+        def load_stats():
+            tbl = self._pf.read(columns=["df", "max_tf"])
+            return (np.asarray(tbl["df"], np.int64),
+                    np.asarray(tbl["max_tf"], np.int64)), tbl.nbytes
+
+        self.df, self.max_tf = self._cache.get(("dict_stats",), load_stats)
         md = self._pf.metadata
         counts = [md.row_group(i).num_rows for i in range(md.num_row_groups)]
         self._dict_rg_starts = np.concatenate(
             [[0], np.cumsum(counts)]).astype(np.int64)
         self._num_terms = int(self._dict_rg_starts[-1])
-        self._dict_segs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._dict_first_keys: dict[int, tuple[str, str]] = {}
-        self._field_bounds_cache: dict[str, tuple[int, int]] = {}
         # hybrid eager/lazy: a SMALL string dictionary (compressed
         # field+term columns under 4 MB) loads whole at open — one cheap
         # read beats per-query probe decompression; web-scale splits
@@ -882,64 +964,59 @@ class SplitReader:
                 if c.path_in_schema in ("field", "term"):
                     string_bytes += c.total_compressed_size
         self._dict_eager: Optional[tuple[pa.Array, pa.Array]] = None
+        # first (field, term) of each row group, known up front for an
+        # eager dictionary
+        self._dict_first_keys: dict[int, tuple[str, str]] = {}
         if 0 < string_bytes < (4 << 20):
-            tbl = self._pf.read(columns=["field", "term"])
-            self.bytes_read += tbl.nbytes
-            self.retained_bytes += tbl.nbytes
             # keep the Arrow columns; the numpy object-array conversion
             # (the expensive part of open — ~35 ms on a 300k-term dict)
             # is deferred per row group to _dict_seg, so a query that
             # probes 3 dictionary row groups converts only those
-            f_col = tbl["field"].combine_chunks()
-            t_col = tbl["term"].combine_chunks()
-            self._dict_eager = (f_col, t_col)
+            def load_strings():
+                tbl = self._pf.read(columns=["field", "term"])
+                return (tbl["field"].combine_chunks(),
+                        tbl["term"].combine_chunks()), tbl.nbytes
+
+            f_col, t_col = self._dict_eager = self._cache.get(
+                ("dict_strings",), load_strings)
             for rg in range(len(counts)):
                 s = int(self._dict_rg_starts[rg])
                 if s < int(self._dict_rg_starts[rg + 1]):
                     self._dict_first_keys[rg] = (str(f_col[s]), str(t_col[s]))
-        self._fieldnorms: Optional[pa.Table] = None
-        self._fastfields: Optional[pa.Table] = None
-        self._rg_cache: dict = {}
-        from collections import OrderedDict as _OD
+        # serializes the shared doc-store file handles (see fetch_docs)
         import threading
 
-        # raw (undecoded) posting lists, the only per-reader posting
-        # cache; entries are never changed once entered (see _cache_raw)
-        self._raw_cache: "_OD[int, dict]" = _OD()
-        self._raw_lock = threading.Lock()
-        self._pos_pf: Optional[pq.ParquetFile] = None
-        # hotcache (impact-ordered hot-term sidecar): row -> row-group
-        # index, resolved lazily; None = not probed yet, {} = absent
-        self._hot_index: Optional[dict[int, int]] = None
-        self._hot_pf: Optional[pq.ParquetFile] = None
-        self._hot_cache: dict[int, dict] = {}
         self._docstore_lock = threading.Lock()
-        # doc-store layout, opened on the first fetch, and the decoded
-        # blocks fetches keep (see _docstore_block)
-        self._docstore: Optional[tuple] = None
-        self._doc_blocks: "_OD[tuple, Any]" = _OD()
-        self._doc_block_bytes = 0
+
+    @property
+    def bytes_read(self) -> int:
+        """Cumulative bytes this reader's loads materialized — sizes the
+        search-admission permits (search/permits.py)."""
+        return self._cache.bytes_read
+
+    @property
+    def retained_bytes(self) -> int:
+        """Bytes this reader's cache holds — drives the byte-bound reader
+        LRU (the reference's 1 GB fast-field / 500 MB footer cache
+        budgets, node_config/mod.rs:261-266)."""
+        return self._cache.retained_bytes
 
     # -- term dictionary (lazy per-row-group segments) -----------------------
 
     def _dict_seg(self, rg: int) -> tuple[np.ndarray, np.ndarray]:
-        seg = self._dict_segs.get(rg)
-        if seg is None:
+        def load():
             s = int(self._dict_rg_starts[rg])
             e = int(self._dict_rg_starts[rg + 1])
             if self._dict_eager is not None:
+                # its bytes count once, with the eager columns
                 f_col, t_col = self._dict_eager
-                seg = (np.asarray(f_col.slice(s, e - s)),
-                       np.asarray(t_col.slice(s, e - s)))
-            else:
-                tbl = self._pf.read_row_group(rg, columns=["field", "term"])
-                self.bytes_read += tbl.nbytes
-                self.retained_bytes += tbl.nbytes
-                seg = (np.asarray(tbl["field"]), np.asarray(tbl["term"]))
-            self._dict_segs[rg] = seg
-            if len(seg[0]):
-                self._dict_first_keys[rg] = (str(seg[0][0]), str(seg[1][0]))
-        return seg
+                return (np.asarray(f_col.slice(s, e - s)),
+                        np.asarray(t_col.slice(s, e - s))), 0
+            tbl = self._pf.read_row_group(rg, columns=["field", "term"])
+            return (np.asarray(tbl["field"]),
+                    np.asarray(tbl["term"])), tbl.nbytes
+
+        return self._cache.get(("dict", rg), load)
 
     def _rg_of_row(self, row: int) -> int:
         return int(np.searchsorted(self._dict_rg_starts, row,
@@ -958,8 +1035,8 @@ class SplitReader:
         def first_key_le(rg: int) -> bool:
             fk = self._dict_first_keys.get(rg)
             if fk is None:
-                self._dict_seg(rg)
-                fk = self._dict_first_keys[rg]
+                f, t = self._dict_seg(rg)
+                fk = (str(f[0]), str(t[0]))
             fk_f, fk_t = fk
             if fk_f != field:
                 return fk_f < field
@@ -990,13 +1067,9 @@ class SplitReader:
                                                side=side))
 
     def _field_bounds_for(self, field: str) -> tuple[int, int]:
-        b = self._field_bounds_cache.get(field)
-        if b is None:
-            lo = self._dict_insertion(field, None, term_inf=-1)
-            hi = self._dict_insertion(field, None, term_inf=+1)
-            b = (lo, hi)
-            self._field_bounds_cache[field] = b
-        return b
+        return self._cache.get(("bounds", field), lambda: (
+            (self._dict_insertion(field, None, term_inf=-1),
+             self._dict_insertion(field, None, term_inf=+1)), 0))
 
     def dict_terms(self, rows: np.ndarray) -> np.ndarray:
         """Term strings for the given rows (object array), loading only
@@ -1070,151 +1143,93 @@ class SplitReader:
                       ) -> dict[int, dict]:
         """Decoded postings ``{row: {doc_ids, tfs[, positions, pos_lens]}}``
         for dictionary rows, decoded from the raw entries (row order
-        keeps each posting row group read once). A row's positions join
-        its raw entry on the first positional read. A call spanning more
-        rows than the raw LRU holds (a wide wildcard / regex / prefix
-        expansion) decodes the rows it finds uncached without entering
-        them, so it cannot evict the entries of the hot terms."""
-        rows = sorted({int(r) for r in rows if r >= 0})
-        enter = len(rows) <= RAW_CACHE_ROWS
+        keeps each posting row group read once); positions come from the
+        sidecar's row groups."""
         out: dict[int, dict] = {}
-        for r in rows:
-            raw = (self.read_postings_raw(r) if enter
-                   else self.raw_cached(r) or self._raw_row(r))
-            docs, tfs = decode_posting_blocks(raw)
+        for r in sorted({int(r) for r in rows if r >= 0}):
+            docs, tfs = decode_posting_blocks(self.read_postings_raw(r))
             ent = out[r] = {"doc_ids": docs, "tfs": tfs}
             if with_positions:
-                if "positions" not in raw:
-                    po, pl = self._positions_row(r)
-                    raw = {**raw, "positions": np.frombuffer(po, np.int32),
-                           "pos_lens": np.frombuffer(pl, np.int32)}
-                    if enter:
-                        self._cache_raw(r, raw)
-                ent["positions"] = raw["positions"]
-                ent["pos_lens"] = raw["pos_lens"]
+                ent["positions"], ent["pos_lens"] = self._positions_row(r)
         return out
 
-    def _row_group(self, rg: int) -> "pa.Table":
-        """Small LRU of decompressed posting row groups (the warmup-cache
-        analog): repeated term lookups in the same region avoid re-reading
-        and re-decompressing 2048-term column chunks."""
-        key = ("postings", rg)
-        tbl = self._rg_cache.get(key)
-        if tbl is None:
-            tbl = self._pf.read_row_group(rg, columns=POSTING_COLUMNS)
-            self.bytes_read += tbl.nbytes
-            self.retained_bytes += tbl.nbytes
-            self._rg_cache[key] = tbl
-            if len(self._rg_cache) > 4:
-                dropped = self._rg_cache.pop(next(iter(self._rg_cache)))
-                self.retained_bytes -= dropped.nbytes
-        return tbl
+    def _views(self, key: tuple, read) -> dict:
+        """``_binary_views`` of a posting or positions row group, kept
+        (evictable) in the reader's cache: repeated term lookups in the
+        same region avoid re-reading and re-decompressing it."""
+        return self._cache.get(key, lambda: _binary_views(read()), evict=True)
 
-    def _positions_row(self, row: int) -> tuple[bytes, bytes]:
-        """(positions, pos_lens) buffers for one dictionary row from the
-        sidecar file (small row groups + LRU); b'' when absent."""
-        if self._pos_pf is None:
+    def _positions_row(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, pos_lens) int32 views of one dictionary row from the
+        sidecar file (small row groups); empty when it has none."""
+        def open_file():
             p = os.path.join(self.split_dir, POSITIONS_FILE)
-            if not _artifact_exists(p):
-                return b"", b""
-            self._pos_pf = _open_parquet(p)
+            return (_open_parquet(p) if _artifact_exists(p) else None), 0
+
+        pf = self._cache.get(("pos_file",), open_file)
+        if pf is None:
+            return np.empty(0, np.int32), np.empty(0, np.int32)
         prg = row // POS_TERMS_PER_ROW_GROUP
-        key = ("pos", prg)
-        tbl = self._rg_cache.get(key)
-        if tbl is None:
-            tbl = self._pos_pf.read_row_group(prg)
-            self.bytes_read += tbl.nbytes
-            self.retained_bytes += tbl.nbytes
-            self._rg_cache[key] = tbl
-            if len(self._rg_cache) > 8:
-                dropped = self._rg_cache.pop(next(iter(self._rg_cache)))
-                self.retained_bytes -= dropped.nbytes
+        cols = self._views(("pos", prg), lambda: pf.read_row_group(prg))
         i = row - prg * POS_TERMS_PER_ROW_GROUP
-        return (tbl["positions"][i].as_py() or b"",
-                tbl["pos_lens"][i].as_py() or b"")
+        return (_cell(cols, "positions", i, np.int32),
+                _cell(cols, "pos_lens", i, np.int32))
 
     def read_postings_raw(self, row: int) -> dict:
         """Raw (undecoded) posting buffers for one dictionary row, the
-        input of ``decode_posting_blocks``: the block-max / block-skip
-        paths decode only the blocks they need. Cached per row (an LRU of
-        RAW_CACHE_ROWS): ``.as_py()`` copies the binary cell out of the
-        Arrow column (several MB for a stopword), which dominated repeated
-        hot-term queries before this LRU."""
+        input of ``decode_posting_blocks``: zero-copy slices of its
+        cached posting row group, so the block-max / block-skip paths
+        decode only the blocks they need and copy nothing else."""
         row = int(row)
-        with self._raw_lock:
-            ent = self._raw_cache.get(row)
-            if ent is not None:
-                self._raw_cache.move_to_end(row)
-                return ent
-        ent = self._raw_row(row)
-        self._cache_raw(row, ent)
-        return ent
-
-    def _raw_row(self, row: int) -> dict:
         rg = row // TERMS_PER_ROW_GROUP
-        return _raw_posting(self._row_group(rg), row - rg * TERMS_PER_ROW_GROUP)
+        cols = self._views(("postings", rg), lambda: self._pf.read_row_group(
+            rg, columns=POSTING_COLUMNS))
+        return _raw_posting(cols, row - rg * TERMS_PER_ROW_GROUP)
 
-    def _cache_raw(self, row: int, ent: dict) -> None:
-        """Enter (or replace) a row's raw entry. The LRU and its share of
-        ``retained_bytes`` change together under one lock, and an entry
-        is never changed once entered, so leaf searches sharing the
-        reader count each entry's bytes exactly once."""
-        def size(e):
-            return sum(v.nbytes for v in e.values())
-
-        with self._raw_lock:
-            old = self._raw_cache.pop(row, None)
-            self._raw_cache[row] = ent
-            delta = size(ent) - (size(old) if old is not None else 0)
-            if len(self._raw_cache) > RAW_CACHE_ROWS:
-                delta -= size(self._raw_cache.popitem(last=False)[1])
-            self.retained_bytes += delta
-
-    def raw_cached(self, row: int) -> Optional[dict]:
-        """The already-decompressed raw entry, if any (the scorer prefers
-        it over the hotcache: no read either way)."""
-        return self._raw_cache.get(int(row))
+    def postings_cached(self, row: int) -> bool:
+        """Whether the row's posting row group is in the cache (the scorer
+        then prefers it over the hotcache: no read either way)."""
+        return self._cache.peek(
+            ("postings", int(row) // TERMS_PER_ROW_GROUP)) is not None
 
     def hot_entry(self, row: int) -> Optional[dict]:
         """Hotcache entry for a dictionary row, or None. One tiny
         single-term row-group read per term — never touches the heavy
         posting row groups."""
-        if self._hot_index is None:
-            p = os.path.join(self.split_dir, HOTCACHE_FILE)
-            if not _artifact_exists(p):
-                self._hot_index = {}
-                return None
-            self._hot_pf = _open_parquet(p)
-            rows = self._hot_pf.read(columns=["row"])  # tiny int column
-            self._hot_index = {int(v): i for i, v
-                               in enumerate(rows["row"].to_pylist())}
-        i = self._hot_index.get(int(row))
+        pf, index = self._cache.get(("hot_index",), self._load_hot_index)
+        i = index.get(int(row))
         if i is None:
             return None
-        ent = self._hot_cache.get(int(row))
-        if ent is None:
-            tbl = self._hot_pf.read_row_group(i)
-            self.bytes_read += tbl.nbytes
-            self.retained_bytes += tbl.nbytes
-            ent = {
-                "df": int(tbl["df"][0].as_py()),
-                "block_last": np.frombuffer(tbl["block_last"][0].as_py()
-                                            or b"", np.int32),
-                "block_max_tf": np.frombuffer(tbl["block_max_tf"][0].as_py()
-                                              or b"", np.int32),
-                "block_lens": np.frombuffer(tbl["block_lens"][0].as_py()
-                                            or b"", np.int32),
-                "block_min_norm": np.frombuffer(
-                    tbl["block_min_norm"][0].as_py() or b"", np.uint8),
-                "sel": np.frombuffer(tbl["sel"][0].as_py() or b"", np.int32),
-                "docs": np.frombuffer(tbl["docs"][0].as_py() or b"",
-                                      np.int32),
-                "tfs": np.frombuffer(tbl["tfs"][0].as_py() or b"",
-                                     np.uint32),
-                "has_tfs": bool(tbl["has_tfs"][0].as_py()),
-            }
-            self._hot_cache[int(row)] = ent
-        return ent
+        return self._cache.get(("hot", int(row)),
+                               lambda: self._load_hot_entry(pf, i))
+
+    def _load_hot_index(self) -> tuple:
+        """((hotcache ParquetFile, {row: its row group}), bytes), or
+        ((None, {}), 0) for a split without a hotcache."""
+        p = os.path.join(self.split_dir, HOTCACHE_FILE)
+        if not _artifact_exists(p):
+            return (None, {}), 0
+        pf = _open_parquet(p)
+        rows = pf.read(columns=["row"])  # tiny int column
+        return (pf, {int(v): i for i, v
+                     in enumerate(rows["row"].to_pylist())}), rows.nbytes
+
+    @staticmethod
+    def _load_hot_entry(pf: "pq.ParquetFile", i: int) -> tuple[dict, int]:
+        tbl = pf.read_row_group(i)
+
+        def buf(col, dtype):
+            return np.frombuffer(tbl[col][0].as_py() or b"", dtype)
+
+        return {"df": int(tbl["df"][0].as_py()),
+                "block_last": buf("block_last", np.int32),
+                "block_max_tf": buf("block_max_tf", np.int32),
+                "block_lens": buf("block_lens", np.int32),
+                "block_min_norm": buf("block_min_norm", np.uint8),
+                "sel": buf("sel", np.int32),
+                "docs": buf("docs", np.int32),
+                "tfs": buf("tfs", np.uint32),
+                "has_tfs": bool(tbl["has_tfs"][0].as_py())}, tbl.nbytes
 
     def read_postings_selected(self, row: int, cand_docs: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray]:
@@ -1232,32 +1247,43 @@ class SplitReader:
 
     # -- per-doc columns ----------------------------------------------------
 
-    def _load_fastfields(self) -> pa.Table:
-        if self._fastfields is None:
-            p = os.path.join(self.split_dir, FASTFIELDS_FILE)
-            self._fastfields = (_read_parquet(p) if _artifact_exists(p)
-                                else pa.table({}))
-            self.bytes_read += self._fastfields.nbytes
-            self.retained_bytes += self._fastfields.nbytes
-        return self._fastfields
+    def _per_doc_table(self, name: str) -> pa.Table:
+        """A per-doc parquet file of the split (fieldnorms, fast fields),
+        read whole once; an empty table when the split has none."""
+        def load():
+            p = os.path.join(self.split_dir, name)
+            return _sized(_read_parquet(p) if _artifact_exists(p)
+                          else pa.table({}))
+
+        return self._cache.get((name,), load)
 
     def fieldnorm_ids(self, field: str) -> np.ndarray:
-        if self._fieldnorms is None:
-            p = os.path.join(self.split_dir, FIELDNORMS_FILE)
-            self._fieldnorms = (_read_parquet(p) if _artifact_exists(p)
-                                else pa.table({}))
-            self.bytes_read += self._fieldnorms.nbytes
-            self.retained_bytes += self._fieldnorms.nbytes
+        norms = self._per_doc_table(FIELDNORMS_FILE)
         col = f"norm_{field}"
-        if col not in self._fieldnorms.column_names:
+        if col not in norms.column_names:
             return np.zeros(self.num_docs, np.uint8)
-        return np.asarray(self._fieldnorms[col], np.uint8)
+        return np.asarray(norms[col], np.uint8)
+
+    def _fast_column(self, name: str) -> Optional[pa.Array]:
+        """One fast field as a flat Arrow array (nulls intact), None if
+        the split lacks it. Decoded once per reader: a column of several
+        chunks is combined once and counted, a single chunk is the
+        table's own buffers."""
+        def load():
+            tbl = self._per_doc_table(FASTFIELDS_FILE)
+            if name not in tbl.column_names:
+                return None, 0
+            col = tbl[name]
+            if col.num_chunks == 1:
+                return col.chunk(0), 0
+            return _sized(col.combine_chunks())
+
+        return self._cache.get(("fast", name), load)
 
     def fast_field(self, name: str) -> np.ndarray:
-        self._load_fastfields()
-        if name not in self._fastfields.column_names:
+        col = self._fast_column(name)
+        if col is None:
             raise KeyError(f"no fast field {name!r} in split")
-        col = self._fastfields[name].combine_chunks()
         if pa.types.is_timestamp(col.type):
             return col.cast(pa.int64()).to_numpy(zero_copy_only=False)
         try:
@@ -1268,21 +1294,12 @@ class SplitReader:
     def fast_field_arrow(self, name: str) -> Optional[pa.Array]:
         """Raw Arrow fast column (nulls intact) — integer-exact access for
         u64/i64 values beyond float64 precision (terms-agg keys)."""
-        self._load_fastfields()
-        if name not in self._fastfields.column_names:
-            return None
-        ca = self._fastfields[name].combine_chunks()
-        if isinstance(ca, pa.ChunkedArray):
-            # a flat Array (ChunkedArray lacks is_valid and friends)
-            ca = ca.chunk(0) if ca.num_chunks else pa.array([], ca.type)
-        return ca
+        return self._fast_column(name)
 
     def fast_field_valid(self, name: str) -> Optional[np.ndarray]:
         """Validity (non-null) mask of a fast field, or None if absent."""
-        self._load_fastfields()
-        if name not in self._fastfields.column_names:
-            return None
-        return np.asarray(self._fastfields[name].combine_chunks().is_valid())
+        col = self._fast_column(name)
+        return None if col is None else np.asarray(col.is_valid())
 
     def docstore_units(self) -> list[dict]:
         """Ordered doc-store units, each covering a contiguous doc-id
@@ -1295,52 +1312,25 @@ class SplitReader:
         return resolve_docstore_units(self.split_dir, self.footer,
                                       self.num_docs)
 
-    def docstore_files(self) -> list[tuple[str, int]]:
-        """Ordered ``(parquet path, num_docs)`` of units that have a
-        parquet part (back-compat helper; full reads should use
-        read_docstore_table)."""
-        return [(u["parquet"], u["num_docs"]) for u in self.docstore_units()
-                if u["parquet"]]
-
     def docstore_columns(self) -> list[str]:
         """Column names present in this split's doc store (mapped stored
         fields + the dynamic-mode catch-all columns + blob columns)."""
-        with self._docstore_lock:
-            return list(self._docstore_layout()[2])
+        return list(self._docstore_layout()[2])
 
-    def read_docstore_table(self, columns: Optional[list[str]] = None
-                            ) -> pa.Table:
+    def read_docstore_table(self) -> pa.Table:
         """Full sequential doc-store read (delete rewrites, consolidating
-        merges): parquet parts + scanned blob columns, row-aligned. Of
-        ``columns``, those no unit stores are left out, and a unit that
-        lacks one (the schema widened by later dynamic ingests) reads it
-        as typed nulls, as ``fetch_docs`` does."""
-        if columns is not None:
-            with self._docstore_lock:
-                types = self._docstore_layout()[2]
-            columns = [c for c in dict.fromkeys(columns) if c in types]
+        merges): parquet parts + scanned blob columns, row-aligned. A
+        unit that lacks a column (the schema widened by later dynamic
+        ingests) reads it as nulls."""
         parts = []
         for u in self.docstore_units():
-            t = None
-            if u["parquet"]:
-                cols = None
-                if columns is not None:
-                    present = set(pq.read_schema(u["parquet"]).names)
-                    cols = [c for c in columns if c in present]
-                if cols is None or cols:
-                    t = _read_parquet(u["parquet"], columns=cols)
+            t = _read_parquet(u["parquet"]) if u["parquet"] else None
             for b in u["blobs"]:
-                if columns is not None and b["column"] not in columns:
-                    continue
                 arr = BlobColumnReader(b["file"],
                                        b.get("type", "string")).scan()
                 t = (pa.table({b["column"]: arr}) if t is None
                      else t.append_column(b["column"], arr))
-            if columns is not None:
-                t = pa.table({c: t[c] if t is not None and c in t.column_names
-                              else pa.nulls(u["num_docs"], types[c])
-                              for c in columns})
-            elif t is None:
+            if t is None:
                 raise ValueError("doc-store unit with no readable parts")
             parts.append(t)
         if not parts:
@@ -1349,20 +1339,18 @@ class SplitReader:
 
     def fetch_docs(self, doc_ids: np.ndarray, columns: Optional[list[str]] = None) -> pa.Table:
         """Doc-store point lookups for hit rendering (fetch_docs.rs:41-267):
-        equal to ``read_docstore_table(columns).take(doc_ids)`` (doc id ==
-        row index across the ordered segment units). Only the parquet
-        row groups and blob frames holding the requested rows are read,
-        and the decoded blocks stay on the reader (the reference's
-        doc-store block cache: an LRU of DOCSTORE_BLOCK_CACHE_BYTES), so
-        a repeated top-k decodes nothing. The kept blocks count in
-        ``retained_bytes``, and a split rebuilt in place gets a fresh
-        reader (its stamp changes), never the old build's blocks."""
+        the requested ``columns`` of ``read_docstore_table().take(doc_ids)``
+        (doc id == row index across the ordered segment units). Only the
+        parquet row groups and blob frames holding the requested rows are
+        read, and the decoded blocks stay in the reader's cache (the
+        reference's doc-store block cache), so a repeated top-k decodes
+        nothing. A split rebuilt in place gets a fresh reader (its stamp
+        changes), never the old build's blocks."""
         ids = np.asarray(doc_ids, np.int64)
-        # the grid shares ParquetFile + blob file handles and the block
-        # dict; seeks and reads on them are NOT thread-safe — serialize
-        # per reader (concurrent requests still parallelize across
-        # splits). The lock is created in __init__: lazy creation would
-        # race.
+        # the grid shares ParquetFile + blob file handles; seeks and
+        # reads on them are NOT thread-safe — serialize per reader
+        # (concurrent requests still parallelize across splits). The
+        # lock is created in __init__: lazy creation would race.
         with self._docstore_lock:
             return self._fetch_docs_locked(ids, columns)
 
@@ -1370,7 +1358,7 @@ class SplitReader:
         """(unit doc offsets, per unit (ParquetFile | None, its row-group
         doc starts, {column: BlobColumnReader}), {column: type} in
         first-seen order), opened once per reader."""
-        if self._docstore is None:
+        def load():
             units = self.docstore_units()
             unit_offs = np.concatenate(
                 [[0], np.cumsum([u["num_docs"] for u in units])]
@@ -1395,27 +1383,9 @@ class SplitReader:
                     types.setdefault(b["column"], pa.string()
                                      if vt == "string" else pa.binary())
                 parts.append((pf, rg_starts, blobs))
-            self._docstore = (unit_offs, parts, types)
-        return self._docstore
+            return (unit_offs, parts, types), 0
 
-    def _docstore_block(self, key: tuple, load) -> Any:
-        """Decoded doc-store block ``key`` (a parquet row group's columns
-        or one blob frame), decoded by ``load()`` unless kept. At most
-        DOCSTORE_BLOCK_CACHE_BYTES stay kept, least recently used
-        dropped first."""
-        blk = self._doc_blocks.get(key)
-        if blk is not None:
-            self._doc_blocks.move_to_end(key)
-            return blk
-        blk = self._doc_blocks[key] = load()
-        self.bytes_read += blk.nbytes
-        self.retained_bytes += blk.nbytes
-        self._doc_block_bytes += blk.nbytes
-        while self._doc_block_bytes > DOCSTORE_BLOCK_CACHE_BYTES:
-            _, old = self._doc_blocks.popitem(last=False)
-            self._doc_block_bytes -= old.nbytes
-            self.retained_bytes -= old.nbytes
-        return blk
+        return self._cache.get(("docstore",), load)
 
     def _fetch_docs_locked(self, ids: np.ndarray,
                            columns: Optional[list[str]]) -> pa.Table:
@@ -1455,10 +1425,10 @@ class SplitReader:
             takes, order = [], []
             for rg in np.unique(rg_of):
                 sel = np.nonzero(rg_of == rg)[0]
-                blk = self._docstore_block(
-                    ("rg", ui, int(rg), pq_cols),
-                    lambda rg=int(rg): pf.read_row_group(
-                        rg, columns=list(pq_cols)))
+                blk = self._cache.get(
+                    ("doc_rg", ui, int(rg), pq_cols),
+                    lambda rg=int(rg): _sized(pf.read_row_group(
+                        rg, columns=list(pq_cols))), evict=True)
                 takes.append(blk.take(pa.array(local[sel] - rg_starts[rg])))
                 order.append(sel)
             tbl = _in_request_order(pa.concat_tables(takes), order)
@@ -1467,7 +1437,8 @@ class SplitReader:
             rd = blobs.get(c)
             if rd is not None:
                 out[c] = rd.take(local, frame=lambda fi, c=c, rd=rd:
-                                 self._docstore_block(
-                                     ("blob", ui, c, fi),
-                                     lambda: rd._frame_array(fi)))
+                                 self._cache.get(
+                                     ("doc_blob", ui, c, fi),
+                                     lambda: _sized(rd._frame_array(fi)),
+                                     evict=True))
         return out

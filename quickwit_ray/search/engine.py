@@ -87,8 +87,9 @@ class _ReaderCache:
     thread-safe (HTTP handler threads share it) and generation-checked (a
     rebuilt split_dir gets a fresh reader, see _split_stamp).
 
-    The budget bounds the readers' RETAINED bytes (dict columns, cached
-    row groups, decoded postings, fieldnorms, fastfields) — the analog of
+    The budget bounds the readers' RETAINED bytes (each reader's cache:
+    dictionary, fieldnorms, fast fields, hotcache entries, and row groups
+    and doc-store blocks up to its SPLIT_CACHE_BYTES) — the analog of
     the reference's byte-bound fast-field (1 GB) + footer (500 MB) caches
     (node_config/mod.rs:261-266). Readers grow lazily after insertion, so
     the budget is enforced on every access, not only on insert; the most

@@ -814,7 +814,7 @@ class SplitSearcher:
         # at-or-above it is re-decoded by the rounds below — no
         # duplicates, exact).
         hot = (self.reader.hot_entry(row)
-               if self.reader.raw_cached(row) is None else None)
+               if not self.reader.postings_cached(row) else None)
         if hot is not None and hot["df"] == int(df):
             flat_h = basic or not hot["has_tfs"]
             ub_h = block_score_bounds(hot, df, num_docs, avgdl, flat_h)

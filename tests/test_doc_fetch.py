@@ -101,7 +101,8 @@ def test_fetch_docs_equals_docstore_take(merged_split, ids, cols,
     ids = np.asarray(ids, np.int64) % n
     if not_stored:
         cols = cols + ["not_stored"]
-    full = SplitReader(sd).read_docstore_table(cols)
+    full = SplitReader(sd).read_docstore_table()
+    full = full.select([c for c in cols if c in full.column_names])
     want = {c: full[c].take(pa.array(ids, pa.int64())).to_pylist()
             for c in full.column_names}
     cold = SplitReader(sd)
@@ -126,7 +127,7 @@ def test_fetch_docs_keeps_decoded_blocks(merged_split):
 
 def test_kept_blocks_stay_under_the_cap(tmp_path, monkeypatch):
     """Fetching across every row group and blob frame of a split keeps
-    at most DOCSTORE_BLOCK_CACHE_BYTES of decoded blocks on the reader:
+    at most SPLIT_CACHE_BYTES of decoded blocks on the reader:
     the least recently used ones are dropped, the answers stay exact."""
     monkeypatch.setattr(format_mod, "DOCSTORE_RG_MAX_ROWS", 64)
     d = str(tmp_path / "i")
@@ -136,7 +137,7 @@ def test_kept_blocks_stay_under_the_cap(tmp_path, monkeypatch):
     (unit,) = SplitReader(sd).docstore_units()
     assert {b["column"] for b in unit["blobs"]} == {"body", "html"}
     cap = 128 << 10
-    monkeypatch.setattr(format_mod, "DOCSTORE_BLOCK_CACHE_BYTES", cap)
+    monkeypatch.setattr(format_mod, "SPLIT_CACHE_BYTES", cap)
     cols = ["doc_id", "lang", "body", "html"]
     full = SplitReader(sd).read_docstore_table().select(cols)
     r = SplitReader(sd)

@@ -94,13 +94,12 @@ def test_hot_term_topk_exact_and_cheap(hot_idx):
     assert np.allclose(np.asarray(got.hits["sort_key0"], np.float64),
                        np.asarray(truth.hits["sort_key0"], np.float64))
     reader = engine._GLOBAL_READER_CACHE.get(d)
-    # the heavy posting row group was never decompressed: no raw entry
-    # for the hot term, and the per-reader row-group cache holds no
-    # posting row groups
+    # the heavy posting row group was never decompressed: the reader's
+    # cache holds no ("postings", rg) entry (its resident entries —
+    # dictionary, norms, hotcache — do not count)
     row = int(reader.term_rows("body", ["common"])[0])
-    assert reader.raw_cached(row) is None
-    assert not any(isinstance(k, tuple) and k and k[0] != "pos"
-                   for k in reader._rg_cache)
+    assert not reader.postings_cached(row)
+    assert not any(k[0] == "postings" for k, _, _ in reader._cache.entries())
 
 
 def test_hot_fallback_large_k_exact(hot_idx):

@@ -432,58 +432,23 @@ def _first_split(index_dir):
     return os.path.join(index_dir, "splits", sm.split_id)
 
 
-def test_wide_read_keeps_hot_raw_entries(zipf_index, monkeypatch):
-    """A read_postings call spanning more rows than the raw LRU holds (a
-    wide wildcard / regex expansion) decodes its uncached rows without
-    entering them: the hot term's entry survives unchanged, and every
-    list decodes as a one-row read does."""
+def test_wide_read_decodes_as_one_row_reads(zipf_index, monkeypatch):
+    """A read_postings call spanning many rows (a wide wildcard / regex
+    expansion) through a cache too small to keep its posting and
+    positions row groups decodes every list as a one-row read does."""
     from quickwit_ray.index import format as fmt
 
-    monkeypatch.setattr(fmt, "RAW_CACHE_ROWS", 8)
+    monkeypatch.setattr(fmt, "SPLIT_CACHE_BYTES", 1)
     d = _first_split(zipf_index)
     reader = fmt.SplitReader(d)
     hot = int(np.argmax(reader.df))
-    ent = reader.read_postings_raw(hot)
-    rows = list(range(min(len(reader.df), 40)))
-    assert len(rows) > fmt.RAW_CACHE_ROWS
+    reader.read_postings_raw(hot)
+    rows = list(range(0, len(reader.df), max(1, len(reader.df) // 300)))
+    assert len({r // fmt.TERMS_PER_ROW_GROUP for r in rows}) > 1
     wide = reader.read_postings(rows + [hot], with_positions=True)
-    assert list(reader._raw_cache) == [hot]
-    assert reader.raw_cached(hot) is ent and "positions" not in ent
     fresh = fmt.SplitReader(d)
     for r in rows + [hot]:
         one = fresh.read_postings([r], with_positions=True)[r]
         assert one.keys() == wide[r].keys()
         for k in one:
             assert (one[k] == wide[r][k]).all(), (r, k)
-
-
-def test_raw_cache_bytes_match_under_concurrent_reads(zipf_index,
-                                                      monkeypatch):
-    """Leaf searches share a reader. Concurrent plain and positional
-    reads through a raw LRU small enough to churn leave retained_bytes
-    equal to the bytes the reader's caches hold."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from quickwit_ray.index import format as fmt
-
-    monkeypatch.setattr(fmt, "RAW_CACHE_ROWS", 4)
-    reader = fmt.SplitReader(_first_split(zipf_index))
-    base = reader.retained_bytes
-    # rows of one posting and one positions row group, read once up
-    # front: the threads then only touch the raw LRU
-    first = np.arange(min(len(reader.df), fmt.POS_TERMS_PER_ROW_GROUP))
-    rows = first[np.argsort(-reader.df[first], kind="stable")[:12]]
-    reader.read_postings(rows, with_positions=True)
-
-    def work(seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(300):
-            r = int(rows[rng.integers(len(rows))])
-            reader.read_postings([r], with_positions=bool(rng.integers(2)))
-
-    with ThreadPoolExecutor(4) as ex:
-        list(ex.map(work, range(4)))
-    held = sum(t.nbytes for t in reader._rg_cache.values()) + sum(
-        v.nbytes for e in reader._raw_cache.values() for v in e.values())
-    assert len(reader._raw_cache) == fmt.RAW_CACHE_ROWS
-    assert reader.retained_bytes == base + held

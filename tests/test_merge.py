@@ -392,10 +392,10 @@ def test_docstore_stacking(tmp_path):
     sm = execute_merge(index_dir, ids, "documents", 1)
     sd = os.path.join(index_dir, "splits", sm.split_id)
     r = SplitReader(sd)
-    segs = r.docstore_files()
+    segs = r.docstore_units()
     assert len(segs) == 3
-    assert all(os.path.basename(p).startswith("docstore-seg-")
-               for p, _ in segs)
+    assert all(os.path.basename(u["parquet"]).startswith("docstore-seg-")
+               for u in segs)
     assert "docstore.parquet" not in os.listdir(sd)
     got = r.fetch_docs(np.arange(sm.num_docs), columns=["doc_id", "text"])
     assert got.equals(want_tbl)
@@ -425,7 +425,7 @@ def test_docstore_stacking(tmp_path):
     sd2 = os.path.join(index_dir, "splits", sm2.split_id)
     assert "docstore.parquet" in os.listdir(sd2)
     r3 = SplitReader(sd2)
-    assert len(r3.docstore_files()) == 1
+    assert len(r3.docstore_units()) == 1
     # the consolidating rewrite must read the SEGMENTED source through
     # its segment list — values survive, no silent null placeholders
     # (regression: the fallback once looked for docstore.parquet only)
@@ -510,7 +510,7 @@ def test_docstore_blob_columns(tmp_path):
     r2 = SplitReader(os.path.join(index_dir, "splits", sm2.split_id))
     u2 = r2.docstore_units()
     assert len(u2) == 1 and u2[0]["blobs"]
-    assert r2.read_docstore_table(columns=["text"])["text"].to_pylist() \
+    assert r2.read_docstore_table()["text"].to_pylist() \
         == rows
     scrambled = np.array([599, 0, 37, 29, 205, 401])
     assert r2.fetch_docs(scrambled, columns=["text"])["text"].to_pylist() \

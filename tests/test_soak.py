@@ -140,3 +140,32 @@ def test_soak_ingest_merge_janitor_search(tmp_path, ray_session, backend):
     buckets = {b["key"]: b["doc_count"] for b in per_wave["w"]["buckets"]}
     assert buckets == {float(w): DOCS_PER_WAVE for w in range(WAVES)}
     assert janitor.cycles >= 2
+
+
+def test_gc_spares_an_upload_before_its_first_object(monkeypatch):
+    """A mock-s3 PUT makes its prefix's directory and only then opens its
+    temp object. GC running in between sees a split prefix that lists no
+    objects; it must leave the prefix alone (the soak's ``[object]`` run
+    failed with FileNotFoundError when it did not). The temp name is
+    drawn between the two steps, which is where this test runs GC."""
+    import uuid
+
+    from quickwit_ray import storage
+    from quickwit_ray.index.build import garbage_collect
+
+    root = f"mock-s3://gcwin-{uuid.uuid4().hex[:10]}/indexes/gc"
+    Index.create(root, "gc", _mapping())
+    ran = []
+
+    class GcInWindow:
+        def uuid4(self):
+            monkeypatch.setattr(storage, "uuid", uuid)
+            ran.append(garbage_collect(root, grace_period_secs=60))
+            return uuid.uuid4()
+
+    monkeypatch.setattr(storage, "uuid", GcInWindow())
+    fs, p = storage.get_fs(root + "/splits/in-flight/postings.parquet")
+    with fs.open_output_stream(p) as out:
+        out.write(b"x")
+    assert ran == [[]]
+    assert storage.listdir(root + "/splits") == ["in-flight"]
