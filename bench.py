@@ -82,8 +82,11 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     from quickwit_ray.search.engine import IndexSearcher
 
     # latency metrics must measure real leaf work, not the leaf request
-    # cache (which would turn repeated warm queries into ~0 ms dict hits)
-    _engine.ENABLE_LEAF_CACHE = False
+    # cache (which would turn repeated warm queries into ~0 ms dict hits):
+    # a leaf cache that keeps nothing stands in until the labeled
+    # leaf-cache section below
+    leaf_cache = _engine._GLOBAL_LEAF_CACHE
+    _engine._GLOBAL_LEAF_CACHE = _engine._LeafCache(capacity=0)
     from quickwit_ray.sources.fixtures import ensure_pages
 
     parts: dict[str, float] = {}
@@ -163,7 +166,8 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
 
     # ---- leaf request cache (labeled separately: repeat-query p50 with
     # the leaf_cache.rs-analog cache ON — the dashboard/repeat case) ----
-    _engine.ENABLE_LEAF_CACHE = True
+    no_leaf_cache, _engine._GLOBAL_LEAF_CACHE = \
+        _engine._GLOBAL_LEAF_CACHE, leaf_cache
     _engine._GLOBAL_LEAF_CACHE.clear()
     for q in qset:
         s.search(q, max_hits=10, sort_by="_score", fetch_fields=[])  # fill
@@ -172,7 +176,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         t0 = time.time()
         s.search(q, max_hits=10, sort_by="_score", fetch_fields=[])
         cached.append(time.time() - t0)
-    _engine.ENABLE_LEAF_CACHE = False
+    _engine._GLOBAL_LEAF_CACHE = no_leaf_cache
     cached_ms = np.asarray(cached) * 1000
     cached_p50_ms = float(np.percentile(cached_ms, 50))
     cached_p95_ms = float(np.percentile(cached_ms, 95))

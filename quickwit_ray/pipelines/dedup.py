@@ -37,6 +37,7 @@ from itertools import chain
 import numpy as np
 import pandas as pd
 
+from quickwit_ray.pipelines.ann import _vec_matrix
 from quickwit_ray.pipelines.components import (
     connected_components,
     distinct_pairs,
@@ -584,7 +585,7 @@ def embedding_dedup(ds, vec_col: str, id_col: str, threshold: float = 0.95,
     import pyarrow as pa
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        vecs = np.asarray(batch[vec_col].to_pylist(), np.float32)
+        vecs = _vec_matrix(batch[vec_col], np.float32)
         ids = batch[id_col].to_pylist()
         planes = _hyperplanes(vecs.shape[1], num_planes, seed)
         bits = (vecs @ planes) > 0

@@ -29,8 +29,10 @@ import pandas as pd
 import pyarrow as pa
 
 from quickwit_ray.config import DocMapping, IndexConfig
+from quickwit_ray.functions.tokenizers import tokenize
 from quickwit_ray.index.format import SplitReader, _in_request_order
 from quickwit_ray.search.ast import (
+    FullTextQuery,
     MatchAll,
     SearchRequest,
     SortField,
@@ -164,10 +166,6 @@ class _ReaderCache:
 
 _GLOBAL_READER_CACHE = _ReaderCache()
 
-# MaxScore pruning for scored disjunctions (set False to force the naive
-# full-scoring path — used by the equivalence tests)
-ENABLE_MAXSCORE = True
-
 
 class _LeafCache:
     """Thread-safe LRU of leaf-search partial results keyed by
@@ -264,7 +262,6 @@ def _approx_nbytes(obj) -> int:
 
 
 _GLOBAL_LEAF_CACHE = _LeafCache()
-ENABLE_LEAF_CACHE = True
 
 
 import threading as _threading  # noqa: E402 — eager lock, no init race
@@ -378,35 +375,27 @@ def leaf_search_one(split_dir: str, mapping: DocMapping, request: SearchRequest,
     >= t needs (see _LeafCache)."""
     import copy
 
-    key = None
-    if ENABLE_LEAF_CACHE:
-        # ENABLE_MAXSCORE is in the key so the pruned-vs-naive
-        # equivalence tests compare real evaluations, not cache hits;
-        # the artifact stamp guards the rebuilt-split-dir staleness
-        # case (see _LeafCache). Callers iterating many splits pass
-        # request_key (repr(request), str(mapping)) computed ONCE per
-        # query instead of per split.
-        if request_key is None:
-            request_key = (repr(request), str(mapping))
-        key = (split_dir, _split_stamp(split_dir)) + request_key \
-            + (ENABLE_MAXSCORE,)
-        ent = _GLOBAL_LEAF_CACHE.get(key)
-        if ent is not None:
-            t_stored = ent["t"]
-            # dominance rule: theta-None entries are fully exact; a
-            # pruned entry serves only thresholds >= its own. A shrunken
-            # split set (retention, deletes) derives SMALLER thetas, so
-            # partials pruned against deleted competition fail this test
-            # and re-evaluate — same safety the old theta-in-key
-            # encoding gave, but repeat queries with timing-wobbly
-            # thetas now hit instead of fragmenting the key space.
-            if t_stored is None or (theta0 is not None
-                                    and theta0 >= t_stored):
-                hit = ent["v"]
-                if "agg_partial" in hit:
-                    # deep copy: the agg merge folds partials in place
-                    return copy.deepcopy(hit)
-                return dict(hit)  # hit/sort arrays consumed read-only
+    # the artifact stamp guards the rebuilt-split-dir staleness case (see
+    # _LeafCache). Callers iterating many splits pass request_key
+    # (repr(request), str(mapping)) computed ONCE per query instead of
+    # per split.
+    if request_key is None:
+        request_key = (repr(request), str(mapping))
+    key = (split_dir, _split_stamp(split_dir)) + request_key
+    ent = _GLOBAL_LEAF_CACHE.get(key)
+    if ent is not None:
+        t_stored = ent["t"]
+        # dominance rule: theta-None entries are fully exact; a pruned
+        # entry serves only thresholds >= its own. A shrunken split set
+        # (retention, deletes) derives SMALLER thetas, so partials pruned
+        # against deleted competition fail this test and re-evaluate,
+        # while repeat queries with timing-wobbly thetas still hit.
+        if t_stored is None or (theta0 is not None and theta0 >= t_stored):
+            hit = ent["v"]
+            if "agg_partial" in hit:
+                # deep copy: the agg merge folds partials in place
+                return copy.deepcopy(hit)
+            return dict(hit)  # hit/sort arrays consumed read-only
     # memory-budgeted admission (search_permit_provider.rs): reserve a
     # pessimistic warmup allocation before touching the split, report the
     # reader's actual materialized bytes after, release on completion.
@@ -428,97 +417,100 @@ def leaf_search_one(split_dir: str, mapping: DocMapping, request: SearchRequest,
     # this evaluation was pruned under. keep_old_if runs UNDER the cache
     # lock: a concurrent thread's MORE complete entry (smaller / None
     # theta) always survives — a pruned result can never clobber it.
-    if key is not None:
-        _GLOBAL_LEAF_CACHE.put(
-            key, {"t": theta0, "v": copy.deepcopy(out)
-                  if "agg_partial" in out else dict(out)},
-            keep_old_if=lambda old: old["t"] is None or (
-                theta0 is not None and old["t"] <= theta0))
+    _GLOBAL_LEAF_CACHE.put(
+        key, {"t": theta0, "v": copy.deepcopy(out)
+              if "agg_partial" in out else dict(out)},
+        keep_old_if=lambda old: old["t"] is None or (
+            theta0 is not None and old["t"] <= theta0))
     return out
+
+
+def _pruned_scoring_terms(request: SearchRequest, mapping: DocMapping
+                          ) -> Optional[tuple[str, list[str]]]:
+    """The one eligibility predicate of the pruned scorers: a bare BM25
+    match (``or`` / ``and``) on one non-JSON text field, sorted by
+    ``_score desc`` alone, with no timestamp window and no cursor.
+    Returns (field, query terms), else None. The window is applied
+    after scoring, so a pruned evaluation (partial scores below theta)
+    would surface wrongly scored docs once out-of-window top docs are
+    masked away."""
+    node = request.query
+    if not (_score_theta_mode(request) and request.timestamp_field is None
+            and isinstance(node, FullTextQuery)
+            and node.mode in ("or", "and")
+            and mapping.resolve_json_path(node.field) is None):
+        return None
+    try:
+        fm = mapping.resolve_field(node.field)
+    except KeyError:
+        return None
+    if fm.type != "text":
+        return None
+    return node.field, tokenize(node.text, fm.tokenizer)
 
 
 def _leaf_search_impl(split_dir: str, mapping: DocMapping,
                       request: SearchRequest,
                       cache: Optional[_ReaderCache] = None,
                       theta0: Optional[float] = None) -> dict:
-    from quickwit_ray.functions.tokenizers import tokenize
-    from quickwit_ray.search.ast import FullTextQuery
-
+    """The leaf planner. A pruned-eligible request with one term and no
+    aggs goes to the Block-Max scorer, which decodes only the posting
+    blocks whose bound can reach the top-k; one with several ``or``
+    terms goes to the MaxScore scorer, whose match mask stays exact for
+    num_hits and aggs. Everything else goes to the full evaluator."""
     reader = (cache or _GLOBAL_READER_CACHE).get(split_dir)
     searcher = SplitSearcher(reader, mapping)
-    scoring = any(sf.field == "_score" for sf in request.sort_fields)
-    k_hint = request.start_offset + request.max_hits
-    node = request.query
-
-    # Block-Max fast path: single scored term, plain desc-_score sort, no
-    # aggs / timestamp filter / cursor -> decode only the posting blocks
-    # whose block_max_tf upper bound can reach the top-k
-    if (ENABLE_MAXSCORE and scoring and k_hint > 0 and request.aggs is None
-            and request.search_after is None and request.timestamp_field is None
-            and len(request.sort_fields) == 1
-            and request.sort_fields[0].order == "desc"):
-        single = None
-        if isinstance(node, FullTextQuery) and node.mode in ("or", "and") \
-                and mapping.resolve_json_path(node.field) is None:
-            try:
-                fm = mapping.resolve_field(node.field)
-            except KeyError:
-                fm = None
-            if fm is not None and fm.type == "text":
-                ts = tokenize(node.text, fm.tokenizer)
-                if len(ts) == 1:
-                    single = (node.field, ts[0])
-        if single is not None:
-            docs, scores_sub, df = searcher.term_topk_blockmax(
-                single[0], single[1], k_hint, theta0=theta0)
-            if len(docs) > 4 * k_hint + 64:
+    k = request.start_offset + request.max_hits
+    plan = _pruned_scoring_terms(request, mapping)
+    if plan is not None:
+        field, terms = plan
+        if len(terms) == 1 and request.aggs is None:
+            docs, scores, df = searcher.term_topk_blockmax(
+                field, terms[0], k, theta0=theta0)
+            if len(docs) > 4 * k + 64:
                 # preselect by score, keeping all boundary ties for the
                 # exact doc-id tie-break
-                kth = np.partition(-scores_sub, k_hint - 1)[k_hint - 1]
-                keep = -scores_sub <= kth
-                docs, scores_sub = docs[keep], scores_sub[keep]
-            order = np.lexsort((-docs, -scores_sub))[:k_hint]
+                kth = np.partition(-scores, k - 1)[k - 1]
+                keep = -scores <= kth
+                docs, scores = docs[keep], scores[keep]
+            order = np.lexsort((-docs, -scores))[:k]
             return {
                 "num_hits": int(df), "split_dir": split_dir,
                 "doc_ids": docs[order].astype(np.int64),
-                "sort_key0": scores_sub[order].astype(np.float64),
+                "sort_key0": scores[order].astype(np.float64),
                 "sort_key1": np.zeros(len(order)),
             }
+        if len(terms) > 1 and request.query.mode == "or":
+            mask, scores = searcher.eval_or_topk_pruned(field, terms, k,
+                                                        theta0=theta0)
+            return _collect_partial(searcher, split_dir, request, mask,
+                                    scores)
+    return _full_leaf_search(searcher, split_dir, request)
 
-    pruned = None
-    # NOTE: gated on timestamp_field is None — the timestamp row-filter is
-    # applied after scoring, so a pruned evaluation (partial scores below
-    # theta) would surface wrongly-scored docs once out-of-window top docs
-    # are masked away. With a window, score fully.
-    if (ENABLE_MAXSCORE and scoring and k_hint > 0
-            and request.timestamp_field is None
-            and request.search_after is None and len(request.sort_fields) == 1
-            and request.sort_fields[0].field == "_score"
-            and request.sort_fields[0].order == "desc"
-            and isinstance(node, FullTextQuery) and node.mode == "or"
-            and mapping.resolve_json_path(node.field) is None):
-        try:
-            fm = mapping.resolve_field(node.field)
-        except KeyError:
-            fm = None
-        if fm is not None and fm.type == "text":
-            terms = tokenize(node.text, fm.tokenizer)
-            if len(terms) > 1:
-                pruned = searcher.eval_or_topk_pruned(node.field, terms, k_hint,
-                                                      theta0=theta0)
-    if pruned is not None:
-        mask, scores = pruned
-    else:
-        mask, scores = searcher.eval(request.query, scoring)
-    # apply the request's timestamp window within the split (split pruning
-    # only removes fully-disjoint splits; boundary splits need a row filter)
+
+def _full_leaf_search(searcher: SplitSearcher, split_dir: str,
+                      request: SearchRequest) -> dict:
+    """The full evaluator: every matching doc is scored (``eval``), the
+    request's timestamp window filters rows within the split (split
+    pruning only removes fully disjoint splits), then top-k collection
+    and aggs. It answers every request the pruned scorers do not take,
+    and it is the reference the pruned scorers are tested against."""
+    scoring = any(sf.field == "_score" for sf in request.sort_fields)
+    mask, scores = searcher.eval(request.query, scoring)
     if request.timestamp_field and (request.start_timestamp is not None
                                     or request.end_timestamp is not None):
-        ts = reader.fast_field(request.timestamp_field)
+        ts = searcher.reader.fast_field(request.timestamp_field)
         if request.start_timestamp is not None:
             mask = mask & (ts >= request.start_timestamp)
         if request.end_timestamp is not None:
             mask = mask & (ts < request.end_timestamp)
+    return _collect_partial(searcher, split_dir, request, mask, scores)
+
+
+def _collect_partial(searcher: SplitSearcher, split_dir: str,
+                     request: SearchRequest, mask: np.ndarray,
+                     scores: Optional[np.ndarray]) -> dict:
+    """One split's partial result from its match mask and scores."""
     num_hits = int(mask.sum())
     out: dict[str, Any] = {"num_hits": num_hits, "split_dir": split_dir}
     k = request.start_offset + request.max_hits
@@ -626,13 +618,13 @@ class _SearchActorPool:
             split_dir, mapping_key, mapping_ref, request_blob, theta0)
 
     def retry_leaf(self, split_dir: str, mapping_key: str, mapping_ref,
-                   request_blob: bytes, theta0: Optional[float],
-                   error: Exception) -> dict:
+                   request_blob: bytes, error: Exception) -> dict:
         """One retry on a DIFFERENT actor after a leaf failure (the
         reference retries a failed leaf on another searcher node,
-        cluster_client.rs / retry/*). A dead primary is replaced in its
-        slot so subsequent queries regain the affinity route instead of
-        failing forever."""
+        cluster_client.rs / retry/*), without a theta hint: a full
+        evaluation is exact under any competition. A dead primary is
+        replaced in its slot so subsequent queries regain the affinity
+        route instead of failing forever."""
         import pickle
 
         import ray
@@ -649,29 +641,10 @@ class _SearchActorPool:
             if len(self.actors) > 1 else self.actors[i]
         try:
             return pickle.loads(ray.get(alt.leaf.remote(
-                split_dir, mapping_key, mapping_ref, request_blob, theta0)))
+                split_dir, mapping_key, mapping_ref, request_blob)))
         except Exception as exc:  # noqa: BLE001 — one retry, then report
             return {"failed": os.path.basename(split_dir),
                     "error": f"{error}; retry: {exc}"}
-
-    def search(self, split_dirs: list[str], mapping_key: str, mapping_ref,
-               request: SearchRequest,
-               theta0: Optional[float] = None) -> list[dict]:
-        import pickle
-
-        import ray
-
-        blob = pickle.dumps(request)
-        futs = [(d, self.submit(d, mapping_key, mapping_ref, blob, theta0))
-                for d in split_dirs]
-        out = []
-        for d, f in futs:
-            try:
-                out.append(pickle.loads(ray.get(f)))
-            except Exception as exc:  # noqa: BLE001
-                out.append(self.retry_leaf(d, mapping_key, mapping_ref,
-                                           blob, theta0, exc))
-        return out
 
     def shutdown(self) -> None:
         import ray
@@ -712,9 +685,10 @@ def shutdown_shared_actor_pool() -> None:
 
 def _score_theta_mode(request: SearchRequest) -> bool:
     """Queries eligible for cross-split kth-SCORE sharing: single-key
-    descending _score sort with a top-k and no cursor (the pruned leaf
-    paths apply their own stricter guards)."""
-    return (request.max_hits > 0 and request.search_after is None
+    descending _score sort with a top-k and no cursor (the leaf planner,
+    ``_pruned_scoring_terms``, adds its query-shape guards)."""
+    return (request.start_offset + request.max_hits > 0
+            and request.search_after is None
             and len(request.sort_fields) == 1
             and request.sort_fields[0].field == "_score"
             and request.sort_fields[0].order == "desc")
@@ -1002,8 +976,6 @@ class IndexSearcher:
             self._mapping_ref = ray.put(mj)  # broadcast once, not per leaf
         mkey, mref = self._mapping_key, self._mapping_ref
         score_mode = _score_theta_mode(request)
-        if bounds is None and not score_mode:
-            return pool.search(split_dirs, mkey, mref, request), 0
         # SLIDING-WINDOW dispatch (no wave barrier): keep up to 2x pool
         # width in flight; as each leaf completes, refresh the running kth
         # threshold — a split-skip bound for time-sorted queries, a scoring
@@ -1012,42 +984,42 @@ class IndexSearcher:
         # its prefix semantics; affinity routing keeps reader caches warm.
         import pickle
 
-        import ray
-
         k = request.start_offset + request.max_hits
         desc = ts_sort_dir == "desc"
         window = 2 * max(len(pool.actors), 1)
         blob = pickle.dumps(request)
-        out: list[dict] = []
+        done: list[dict] = []  # theta source only (completion order)
+        out: list[Optional[dict]] = [None] * len(split_dirs)
         skipped = 0
         pending: dict = {}
         i = 0
         while i < len(split_dirs) or pending:
             while i < len(split_dirs) and len(pending) < window:
                 if bounds is not None:
-                    theta = self._kth_threshold(out, k, desc)
+                    theta = self._kth_threshold(done, k, desc)
                     if not self._split_can_do_better(bounds[i], theta, desc):
                         skipped = len(split_dirs) - i
                         i = len(split_dirs)
                         break
-                theta0 = (self._kth_threshold(out, k, True)
+                theta0 = (self._kth_threshold(done, k, True)
                           if score_mode else None)
                 fut = pool.submit(split_dirs[i], mkey, mref, blob, theta0)
-                pending[fut] = split_dirs[i]
+                pending[fut] = i
                 i += 1
             if not pending:
                 break
-            done, _ = ray.wait(list(pending), num_returns=1)
-            for f in done:
-                d = pending.pop(f)
+            ready, _ = ray.wait(list(pending), num_returns=1)
+            for f in ready:
+                j = pending.pop(f)
                 try:
-                    out.append(pickle.loads(ray.get(f)))
+                    r = pickle.loads(ray.get(f))
                 except Exception as exc:  # noqa: BLE001
-                    # retry once on a different actor (theta0=None: a
-                    # full evaluation is exact under any competition)
-                    out.append(pool.retry_leaf(d, mkey, mref, blob, None,
-                                               exc))
-        return out, skipped
+                    r = pool.retry_leaf(split_dirs[j], mkey, mref, blob, exc)
+                out[j] = r
+                done.append(r)
+        # SPLIT order, not completion order: agg merges fold float sums /
+        # sketches in list order and must stay deterministic run-to-run
+        return [r for r in out if r is not None], skipped
 
     # ------------------------------------------------------------------
 

@@ -36,6 +36,33 @@ from quickwit_ray.search.ast import (
 )
 
 
+class FieldBM25:
+    """BM25 setup of one field in one split: num_docs and avgdl from the
+    split footer, the fieldnorm ids, and the tf 1 a ``basic``-record
+    field scores at. Each caller keeps its own df. Built only when a
+    field is scored, so an unscored evaluation loads no fieldnorms."""
+
+    def __init__(self, reader: SplitReader, mapping: DocMapping, field: str):
+        st = reader.field_stats.get(field, {})
+        n = reader.num_docs
+        self.num_docs = float(st.get("num_docs", n) or n)
+        self.avgdl = float(st.get("avgdl", 1.0) or 1.0)
+        try:
+            self.basic = mapping.resolve_field(field).record == "basic"
+        except KeyError:
+            self.basic = False
+        self.norms = reader.fieldnorm_ids(field)
+
+    def tf(self, tfs: np.ndarray) -> np.ndarray:
+        return np.ones(len(tfs), np.int64) if self.basic else tfs
+
+    def score(self, docs: np.ndarray, tfs: np.ndarray, df: float
+              ) -> np.ndarray:
+        """f32 BM25 scores of ``docs`` at term frequencies ``tfs``."""
+        return bm25_scores(tfs, self.norms[docs], df=df,
+                           num_docs=self.num_docs, avgdl=self.avgdl)
+
+
 class SplitSearcher:
     """Evaluates a query AST against one open split."""
 
@@ -43,12 +70,17 @@ class SplitSearcher:
         self.reader = reader
         self.mapping = mapping
         self.n = reader.num_docs
+        self._bm25_fields: dict[str, FieldBM25] = {}
 
     # ------------------------------------------------------------------
 
-    def _field_stats(self, field: str) -> tuple[float, float]:
-        st = self.reader.field_stats.get(field, {})
-        return float(st.get("num_docs", self.n) or self.n), float(st.get("avgdl", 1.0) or 1.0)
+    def bm25(self, field: str) -> FieldBM25:
+        """The one BM25 setup of ``field`` for this searcher."""
+        sc = self._bm25_fields.get(field)
+        if sc is None:
+            sc = self._bm25_fields[field] = FieldBM25(self.reader,
+                                                       self.mapping, field)
+        return sc
 
     def _term_postings_score(self, field: str, rows: np.ndarray, scoring: bool,
                              const_score: bool = False):
@@ -58,9 +90,7 @@ class SplitSearcher:
         if len(rows) == 0:
             return mask, scores
         postings = self.reader.read_postings(rows)
-        fm = self.mapping.resolve_field(field) if _has_field(self.mapping, field) else None
-        num_docs, avgdl = self._field_stats(field)
-        norms = self.reader.fieldnorm_ids(field) if (scoring and not const_score) else None
+        sc = self.bm25(field) if (scoring and not const_score) else None
         for r in rows:
             if r < 0:
                 continue
@@ -74,12 +104,8 @@ class SplitSearcher:
             if const_score:
                 scores[docs] = np.float32(1.0)
             else:
-                tfs = p["tfs"]
-                if fm is not None and fm.record == "basic":
-                    tfs = np.ones(len(docs), np.int64)
-                s = bm25_scores(tfs, norms[docs], df=float(len(docs)),
-                                num_docs=num_docs, avgdl=avgdl)
-                scores[docs] += s
+                scores[docs] += sc.score(docs, sc.tf(p["tfs"]),
+                                         float(len(docs)))
         return mask, scores
 
     # ------------------------------------------------------------------
@@ -218,7 +244,7 @@ class SplitSearcher:
                 rows = self.reader.term_rows(jf[0].name, prefixed)
                 if (rows < 0).any():
                     return self._eval_MatchNone(MatchNone(), scoring)
-                return self._eval_and_terms(jf[0].name, jf[0], rows, scoring)
+                return self._eval_and_terms(jf[0].name, rows, scoring)
             rows = self._json_term_rows(jf[0], jf[1], node.text)
             return self._term_postings_score(jf[0].name, rows, scoring)
         if node.lenient and not _has_field(self.mapping, node.field) \
@@ -251,7 +277,7 @@ class SplitSearcher:
         if node.mode == "and":
             if (rows < 0).any():
                 return self._eval_MatchNone(MatchNone(), scoring)
-            return self._eval_and_terms(node.field, fm, rows, scoring)
+            return self._eval_and_terms(node.field, rows, scoring)
         # OR (default)
         return self._term_postings_score(node.field, rows[rows >= 0], scoring)
 
@@ -269,8 +295,7 @@ class SplitSearcher:
         if conjunction:
             if (rows < 0).any() or not pmask.any():
                 return self._eval_MatchNone(MatchNone(), scoring)
-            fm_like = self.mapping.resolve_field(field)
-            emask, escores = self._eval_and_terms(field, fm_like, rows, scoring)
+            emask, escores = self._eval_and_terms(field, rows, scoring)
             mask = emask & pmask
             scores = None
             if scoring:
@@ -284,7 +309,7 @@ class SplitSearcher:
             escores += pscores
         return mask, escores
 
-    def _eval_and_terms(self, field: str, fm, rows: np.ndarray, scoring: bool):
+    def _eval_and_terms(self, field: str, rows: np.ndarray, scoring: bool):
         """Conjunction of terms: rarest-first DAAT-AND with BLOCK-SKIP
         decode. The smallest posting list (df from the dictionary, no
         decode needed to rank) is decoded fully; every larger list decodes
@@ -294,8 +319,6 @@ class SplitSearcher:
         Work scales with the rarest term's df, not the largest. The mask
         stays exact; scores are the exact per-term BM25 sums over the
         intersection (df = full dictionary df, matching full scoring)."""
-        num_docs, avgdl = self._field_stats(field)
-        basic = fm.record == "basic"
         dfs = self.reader.df[rows]
         order = np.argsort(dfs, kind="stable")
         r0 = int(rows[order[0]])
@@ -316,15 +339,11 @@ class SplitSearcher:
             return mask, scores
         mask[inter] = True
         if scoring:
-            norms = self.reader.fieldnorm_ids(field)
+            sc = self.bm25(field)
             total = np.zeros(len(inter), np.float32)
             for r, docs_r, tfs_r in per_term:
-                pos = np.searchsorted(docs_r, inter)
-                tfs = (np.ones(len(inter), np.int64) if basic
-                       else tfs_r[pos])
-                total += bm25_scores(tfs, norms[inter],
-                                     df=float(self.reader.df[r]),
-                                     num_docs=num_docs, avgdl=avgdl)
+                tfs = sc.tf(tfs_r[np.searchsorted(docs_r, inter)])
+                total += sc.score(inter, tfs, float(self.reader.df[r]))
             scores[inter] = total
         return mask, scores
 
@@ -391,14 +410,9 @@ class SplitSearcher:
                 return mask, scores
         mask[phrase_doc] = True
         if scores is not None:
-            fm = self.mapping.resolve_field(field)
-            num_docs, avgdl = self._field_stats(field)
-            norms = self.reader.fieldnorm_ids(field)
             # df of the phrase = number of docs containing it (per-split)
-            s = bm25_scores(phrase_tf, norms[phrase_doc], df=float(len(phrase_doc)),
-                            num_docs=num_docs, avgdl=avgdl)
-            scores[phrase_doc] = s
-            _ = fm
+            scores[phrase_doc] = self.bm25(field).score(
+                phrase_doc, phrase_tf, float(len(phrase_doc)))
         return mask, scores
 
     def _sloppy_phrase(self, doc, adj, tix, nterms, slop):
@@ -734,16 +748,13 @@ class SplitSearcher:
         scores = np.zeros(self.n, np.float32)
         if len(rows) == 0:
             return mask, scores
-        num_docs, avgdl = self._field_stats(field)
-        fm = self.mapping.resolve_field(field) if _has_field(self.mapping, field) else None
-        basic = fm is not None and fm.record == "basic"
+        sc = self.bm25(field)
         ubs = np.asarray([
-            bm25_max_score(1.0 if basic else float(self.reader.max_tf[r]),
-                           float(self.reader.df[r]), num_docs, avgdl)
+            bm25_max_score(1.0 if sc.basic else float(self.reader.max_tf[r]),
+                           float(self.reader.df[r]), sc.num_docs, sc.avgdl)
             for r in rows])
         order = np.argsort(-ubs, kind="stable")
         rows, ubs = rows[order], ubs[order]
-        norms = self.reader.fieldnorm_ids(field)
         rem_after = np.concatenate([np.cumsum(ubs[::-1])[::-1][1:], [0.0]])
         # cross-split sharing: start at the global kth hint instead of -inf
         theta = -np.inf if theta0 is None else float(theta0)
@@ -753,8 +764,7 @@ class SplitSearcher:
             docs, tfs = decode_posting_blocks(raw)
             if len(docs) == 0:
                 continue
-            if basic:
-                tfs = np.ones(len(docs), np.int64)
+            tfs = sc.tf(tfs)
             ub_doc = None
             if len(raw["block_min_norm"]) == len(raw["block_lens"]):
                 # per-block (max tf, min fieldnorm) score bound: strictly
@@ -762,8 +772,9 @@ class SplitSearcher:
                 # test below prunes at block granularity (stopword blocks
                 # full of long docs drop out even when tf is flat)
                 ub_doc = np.repeat(block_score_bounds(
-                    raw, float(self.reader.df[int(r)]), num_docs, avgdl,
-                    basic or len(raw["tfs"]) == 0), raw["block_lens"])
+                    raw, float(self.reader.df[int(r)]), sc.num_docs,
+                    sc.avgdl, sc.basic or len(raw["tfs"]) == 0),
+                    raw["block_lens"])
             if theta == -np.inf:
                 docs_s, tfs_s = docs, tfs
             else:
@@ -778,9 +789,7 @@ class SplitSearcher:
                 docs_s, tfs_s = docs[sel], tfs[sel]
             mask[docs] = True
             if len(docs_s):
-                s = bm25_scores(tfs_s, norms[docs_s], df=float(len(docs)),
-                                num_docs=num_docs, avgdl=avgdl)
-                scores[docs_s] += s
+                scores[docs_s] += sc.score(docs_s, tfs_s, float(len(docs)))
             if k > 0:
                 matched = scores[mask]
                 if len(matched) >= k:
@@ -800,11 +809,8 @@ class SplitSearcher:
         if rows[0] < 0:
             return np.empty(0, np.int64), np.empty(0, np.float32), 0
         row = int(rows[0])
-        num_docs, avgdl = self._field_stats(field)
-        fm = self.mapping.resolve_field(field) if _has_field(self.mapping, field) else None
-        basic = fm is not None and fm.record == "basic"
+        sc = self.bm25(field)
         df = float(self.reader.df[row])
-        norms = self.reader.fieldnorm_ids(field)
         # hotcache fast path (hot_directory.rs analog): score the
         # pre-decoded top-impact blocks from the tiny sidecar; when every
         # non-embedded block's bound falls below the resulting kth score,
@@ -816,13 +822,12 @@ class SplitSearcher:
         hot = (self.reader.hot_entry(row)
                if not self.reader.postings_cached(row) else None)
         if hot is not None and hot["df"] == int(df):
-            flat_h = basic or not hot["has_tfs"]
-            ub_h = block_score_bounds(hot, df, num_docs, avgdl, flat_h)
+            flat_h = sc.basic or not hot["has_tfs"]
+            ub_h = block_score_bounds(hot, df, sc.num_docs, sc.avgdl, flat_h)
             docs1 = hot["docs"].astype(np.int64)
             tfs1 = (np.ones(len(docs1), np.int64) if flat_h
                     else hot["tfs"].astype(np.int64))
-            scores1 = bm25_scores(tfs1, norms[docs1], df=df,
-                                  num_docs=num_docs, avgdl=avgdl)
+            scores1 = sc.score(docs1, tfs1, df)
             if len(scores1) >= k:
                 theta_h = float(np.partition(
                     scores1, len(scores1) - k)[len(scores1) - k])
@@ -835,15 +840,12 @@ class SplitSearcher:
                 theta0 = theta_h  # seed the full path
         raw = self.reader.read_postings_raw(row)
         lens = raw["block_lens"]
-        ub = block_score_bounds(raw, df, num_docs, avgdl,
-                                basic or len(raw["tfs"]) == 0)
+        ub = block_score_bounds(raw, df, sc.num_docs, sc.avgdl,
+                                sc.basic or len(raw["tfs"]) == 0)
 
         def scored(sel: Optional[np.ndarray]):
             docs, tfs = decode_posting_blocks(raw, sel)
-            if basic:
-                tfs = np.ones(len(docs), np.int64)
-            return docs, bm25_scores(tfs, norms[docs], df=df,
-                                     num_docs=num_docs, avgdl=avgdl)
+            return docs, sc.score(docs, sc.tf(tfs), df)
 
         order = np.argsort(-ub, kind="stable")
         # round 1: best-bound blocks covering a few k docs -> threshold.

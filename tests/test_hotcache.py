@@ -17,6 +17,7 @@ from quickwit_ray.index.format import (
 )
 from quickwit_ray.search import engine
 from quickwit_ray.search.engine import IndexSearcher
+from tests.reference_eval import reference_search
 
 
 @pytest.fixture(scope="module")
@@ -72,16 +73,10 @@ def test_hotcache_written_and_indexed(hot_idx):
 
 def test_hot_term_topk_exact_and_cheap(hot_idx):
     d = _split_dir(hot_idx)
-    # ground truth: naive full scoring (MaxScore + hotcache disabled)
-    old = engine.ENABLE_MAXSCORE
-    engine.ENABLE_MAXSCORE = False
-    engine._GLOBAL_LEAF_CACHE.clear()
-    try:
-        s = IndexSearcher(hot_idx.index_dir)
-        truth = s.search("body:common", max_hits=10, sort_by="_score",
-                         fetch_fields=["doc_id"])
-    finally:
-        engine.ENABLE_MAXSCORE = old
+    # ground truth: the full evaluator on a fresh reader (no Block-Max,
+    # no hotcache)
+    truth = reference_search(IndexSearcher(hot_idx.index_dir),
+                             "body:common", max_hits=10)
     # cold reader: the hot path must answer without decompressing the
     # posting row group
     engine._GLOBAL_LEAF_CACHE.clear()
@@ -90,7 +85,7 @@ def test_hot_term_topk_exact_and_cheap(hot_idx):
     got = s2.search("body:common", max_hits=10, sort_by="_score",
                     fetch_fields=["doc_id"])
     assert got.num_hits == truth.num_hits == 20000
-    assert list(got.hits["doc_id"]) == list(truth.hits["doc_id"])
+    assert list(got.hits["_doc_id"]) == list(truth.hits["_doc_id"])
     assert np.allclose(np.asarray(got.hits["sort_key0"], np.float64),
                        np.asarray(truth.hits["sort_key0"], np.float64))
     reader = engine._GLOBAL_READER_CACHE.get(d)
@@ -105,21 +100,14 @@ def test_hot_term_topk_exact_and_cheap(hot_idx):
 def test_hot_fallback_large_k_exact(hot_idx):
     """k large enough that the embedded blocks cannot prove completeness:
     the full path runs, seeded, and stays exact."""
-    old = engine.ENABLE_MAXSCORE
-    engine.ENABLE_MAXSCORE = False
-    engine._GLOBAL_LEAF_CACHE.clear()
-    try:
-        s = IndexSearcher(hot_idx.index_dir)
-        truth = s.search("body:common", max_hits=500, sort_by="_score",
-                         fetch_fields=["doc_id"])
-    finally:
-        engine.ENABLE_MAXSCORE = old
+    truth = reference_search(IndexSearcher(hot_idx.index_dir),
+                             "body:common", max_hits=500)
     engine._GLOBAL_LEAF_CACHE.clear()
     engine._GLOBAL_READER_CACHE._cache.clear()
     s2 = IndexSearcher(hot_idx.index_dir)
     got = s2.search("body:common", max_hits=500, sort_by="_score",
                     fetch_fields=["doc_id"])
-    assert list(got.hits["doc_id"]) == list(truth.hits["doc_id"])
+    assert list(got.hits["_doc_id"]) == list(truth.hits["_doc_id"])
 
 
 def test_small_splits_have_no_hotcache(tmp_path):

@@ -332,6 +332,32 @@ def test_distributed_ray_search(docs_index, ray_session):
     assert ra.aggs == la.aggs
 
 
+def test_ray_partials_in_split_order(docs_index, ray_session, monkeypatch):
+    """The ray fan-out returns partials in split order, not completion
+    order: agg merges fold float sums in list order, so a scored ray
+    query with aggs must fold them as the local fan-out does, whichever
+    leaf finishes first."""
+    import ray
+
+    wait = ray.wait
+
+    def last_ready_first(refs, num_returns=1, **kw):
+        ready, _ = wait(refs, num_returns=len(refs), **kw)
+        return [ready[-1]], [r for r in refs if r is not ready[-1]]
+
+    kw = dict(max_hits=10, sort_by="_score", fetch_fields=[],
+              keep_agg_partials=True,
+              aggs={"l": {"terms": {"field": "lang"}},
+                    "n": {"avg": {"field": "n_chars"}}})
+    q = "text:scan OR text:merge"
+    local = IndexSearcher(docs_index, execution="local").search(q, **kw)
+    monkeypatch.setattr(ray, "wait", last_ready_first)
+    rr = IndexSearcher(docs_index, execution="ray").search(q, **kw)
+    assert len(local.agg_partials) == 3
+    assert rr.agg_partials == local.agg_partials
+    assert rr.aggs == local.aggs
+
+
 def test_ray_search_survives_actor_kill(docs_index, ray_session):
     """A leaf whose searcher actor died is retried on another actor
     (reference cluster_client.rs retry-on-other-node): the query still

@@ -78,12 +78,9 @@ def test_theta_pruned_partials_not_reused_after_split_removal(tmp_path):
     m.mark_for_deletion([a_split])
     r_cached = idx.search("text:zebra OR text:alpha", max_hits=5,
                           sort_by="_score", fetch_fields=["doc_id"])
-    engine.ENABLE_LEAF_CACHE = False
-    try:
-        r_truth = idx.search("text:zebra OR text:alpha", max_hits=5,
-                             sort_by="_score", fetch_fields=["doc_id"])
-    finally:
-        engine.ENABLE_LEAF_CACHE = True
+    engine._GLOBAL_LEAF_CACHE.clear()
+    r_truth = idx.search("text:zebra OR text:alpha", max_hits=5,
+                         sort_by="_score", fetch_fields=["doc_id"])
     assert list(r_cached.hits["doc_id"]) == list(r_truth.hits["doc_id"])
     assert list(r_cached.hits["sort_key0"]) == list(r_truth.hits["sort_key0"])
     assert all(s > 0 for s in r_cached.hits["sort_key0"])
@@ -125,30 +122,6 @@ def test_rebuilt_split_dir_not_served_stale(tmp_path):
                       "source": "w", "n_chars": 10}], commit_id="c")
     assert idx.search("text:old", max_hits=5).num_hits == 0
     assert idx.search("text:new", max_hits=5).num_hits == 1
-
-
-def test_leaf_cache_respects_flags(tmp_path):
-    """Toggling ENABLE_MAXSCORE or disabling the cache must never serve a
-    stale-flag entry (the pruned-vs-naive equivalence tests depend on
-    this)."""
-    idx = Index.create(str(tmp_path / "i"), "docs", documents_doc_mapping())
-    idx.ingest_docs(pq.read_table(DOCS).slice(0, 200).to_pylist(),
-                    commit_id="a")
-    engine._GLOBAL_LEAF_CACHE.clear()
-    idx.search("text:scan", max_hits=10)
-    n1 = engine._GLOBAL_LEAF_CACHE.misses
-    old = engine.ENABLE_MAXSCORE
-    try:
-        engine.ENABLE_MAXSCORE = not old
-        idx.search("text:scan", max_hits=10)
-        assert engine._GLOBAL_LEAF_CACHE.misses > n1  # distinct key
-        engine.ENABLE_LEAF_CACHE = False
-        h = engine._GLOBAL_LEAF_CACHE.hits
-        idx.search("text:scan", max_hits=10)
-        assert engine._GLOBAL_LEAF_CACHE.hits == h  # fully bypassed
-    finally:
-        engine.ENABLE_MAXSCORE = old
-        engine.ENABLE_LEAF_CACHE = True
 
 
 def test_leaf_cache_byte_budget_adversarial():

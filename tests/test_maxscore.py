@@ -1,15 +1,16 @@
 """MaxScore-pruned disjunctive top-k == naive full scoring, on a Zipf
-corpus with hot terms (the pruning actually fires there)."""
+corpus with hot terms (the pruning actually fires there). The naive side
+is the full evaluator run on every split (tests/reference_eval.py)."""
 
 import numpy as np
 import pytest
 
-import quickwit_ray.search.engine as engine_mod
 from quickwit_ray.config import IndexConfig, IndexSettings, pages_doc_mapping
 from quickwit_ray.index.build import build_index
 from quickwit_ray.search.ast import FullTextQuery
 from quickwit_ray.search.engine import IndexSearcher
 from quickwit_ray.sources.fixtures import ensure_pages
+from tests.reference_eval import reference_search
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +38,8 @@ QUERIES = [
 def test_pruned_equals_naive(zipf_index, qtext):
     q = FullTextQuery("text", qtext, mode="or")
     s = IndexSearcher(zipf_index)
-    engine_mod.ENABLE_MAXSCORE = True
     fast = s.search(q, max_hits=10, sort_by="_score", fetch_fields=[])
-    engine_mod.ENABLE_MAXSCORE = False
-    slow = s.search(q, max_hits=10, sort_by="_score", fetch_fields=[])
-    engine_mod.ENABLE_MAXSCORE = True
+    slow = reference_search(s, q, max_hits=10)
     assert fast.num_hits == slow.num_hits, qtext
     assert list(fast.hits["_split_id"]) == list(slow.hits["_split_id"])
     assert list(fast.hits["_doc_id"]) == list(slow.hits["_doc_id"])
@@ -49,6 +47,38 @@ def test_pruned_equals_naive(zipf_index, qtext):
     # wiggle; ranks must still be identical
     assert np.allclose(fast.hits["sort_key0"], slow.hits["sort_key0"],
                        rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("qtext", [q for q in QUERIES if q.startswith("aa")]
+                         + ["aaterm0", "baterm1"])
+def test_pruned_leaves_under_global_theta_equal_naive(zipf_index, qtext):
+    """Every leaf pruned under the true global kth score — the cross-split
+    threshold the threaded fan-out shares only when timing allows — still
+    returns every doc at or above it with its exact score."""
+    import os
+
+    from quickwit_ray.search import engine
+    from quickwit_ray.search.ast import SearchRequest, SortField
+
+    s = IndexSearcher(zipf_index)
+    q = FullTextQuery("text", qtext, mode="or")
+    truth = reference_search(s, q, max_hits=10)
+    assert len(truth.hits) == 10, qtext
+    request = SearchRequest(query=q, max_hits=10,
+                            sort_fields=(SortField("_score", "desc"),))
+    split_ids = {os.path.join(zipf_index, "splits", sm.split_id): sm.split_id
+                 for sm in s.manifest.published_splits()}
+    assert len(split_ids) > 1
+    theta = float(truth.hits["sort_key0"].iloc[-1])
+    partials = [engine._leaf_search_impl(d, s.mapping, request, theta0=theta)
+                for d in split_ids]
+    got = engine.merge_partial_hits(partials, request, split_ids)
+    assert sum(p["num_hits"] for p in partials) == truth.num_hits, qtext
+    assert list(got["_split_id"]) == list(truth.hits["_split_id"]), qtext
+    assert list(got["_doc_id"]) == list(truth.hits["_doc_id"]), qtext
+    assert np.allclose(got["sort_key0"].astype(float),
+                       truth.hits["sort_key0"].astype(float),
+                       rtol=1e-6, atol=1e-9), qtext
 
 
 def test_pruning_actually_skips_scoring(zipf_index):
@@ -76,11 +106,8 @@ def test_pruning_actually_skips_scoring(zipf_index):
 @pytest.mark.parametrize("term", ["aaterm0", "baterm1", "rareterm10"])
 def test_blockmax_single_term_equals_naive(zipf_index, term):
     s = IndexSearcher(zipf_index)
-    engine_mod.ENABLE_MAXSCORE = True
     fast = s.search(f"text:{term}", max_hits=10, sort_by="_score", fetch_fields=[])
-    engine_mod.ENABLE_MAXSCORE = False
-    slow = s.search(f"text:{term}", max_hits=10, sort_by="_score", fetch_fields=[])
-    engine_mod.ENABLE_MAXSCORE = True
+    slow = reference_search(s, f"text:{term}", max_hits=10)
     assert fast.num_hits == slow.num_hits
     assert list(fast.hits["_split_id"]) == list(slow.hits["_split_id"])
     assert list(fast.hits["_doc_id"]) == list(slow.hits["_doc_id"])
@@ -108,11 +135,8 @@ def test_blockmax_on_merged_split(tmp_path):
     s = IndexSearcher(d)
     assert len(s.manifest.published_splits()) < 6
     for term in ["aaterm0", "baterm1"]:
-        engine_mod.ENABLE_MAXSCORE = True
         fast = s.search(f"text:{term}", max_hits=10, sort_by="_score", fetch_fields=[])
-        engine_mod.ENABLE_MAXSCORE = False
-        slow = s.search(f"text:{term}", max_hits=10, sort_by="_score", fetch_fields=[])
-        engine_mod.ENABLE_MAXSCORE = True
+        slow = reference_search(s, f"text:{term}", max_hits=10)
         assert fast.num_hits == slow.num_hits
         assert list(fast.hits["_doc_id"]) == list(slow.hits["_doc_id"])
         assert np.allclose(fast.hits["sort_key0"], slow.hits["sort_key0"],
@@ -229,13 +253,9 @@ def test_blockmax_flat_tf_min_norm_prunes(tmp_path):
                                     IndexSettings(split_num_docs_target=100_000)),
                 execution="local")
     s = IndexSearcher(d)
-    engine_mod.ENABLE_MAXSCORE = True
     fast = s.search("body:flathot", max_hits=10, sort_by="_score",
                     fetch_fields=[])
-    engine_mod.ENABLE_MAXSCORE = False
-    slow = s.search("body:flathot", max_hits=10, sort_by="_score",
-                    fetch_fields=[])
-    engine_mod.ENABLE_MAXSCORE = True
+    slow = reference_search(s, "body:flathot", max_hits=10)
     assert list(fast.hits["_doc_id"]) == list(slow.hits["_doc_id"])
     assert np.allclose(fast.hits["sort_key0"], slow.hits["sort_key0"],
                        rtol=0, atol=0)
@@ -286,11 +306,8 @@ def test_or_flat_tf_block_bounds_prune(tmp_path):
                 execution="local")
     s = IndexSearcher(d)
     q = FullTextQuery("body", "flata flatb", mode="or")
-    engine_mod.ENABLE_MAXSCORE = True
     fast = s.search(q, max_hits=10, sort_by="_score", fetch_fields=[])
-    engine_mod.ENABLE_MAXSCORE = False
-    slow = s.search(q, max_hits=10, sort_by="_score", fetch_fields=[])
-    engine_mod.ENABLE_MAXSCORE = True
+    slow = reference_search(s, q, max_hits=10)
     assert fast.num_hits == slow.num_hits == n
     assert list(fast.hits["_doc_id"]) == list(slow.hits["_doc_id"])
     assert np.allclose(fast.hits["sort_key0"], slow.hits["sort_key0"],

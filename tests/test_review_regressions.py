@@ -15,6 +15,7 @@ from quickwit_ray.config import (
 )
 from quickwit_ray.index.build import build_index
 from quickwit_ray.search.engine import IndexSearcher
+from tests.reference_eval import reference_search
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
 
@@ -70,16 +71,11 @@ def test_search_after_single_key_desc_score(docs_idx):
 
 def test_asc_score_sort_not_corrupted_by_pruning(docs_idx):
     """Ascending-_score sort must NOT use MaxScore partial scores."""
-    import quickwit_ray.search.engine as em
-
     s = IndexSearcher(docs_idx)
-    em.ENABLE_MAXSCORE = True
     fast = s.search("text:scan OR text:merge", max_hits=10,
                     sort_by=["+_score"], fetch_fields=[])
-    em.ENABLE_MAXSCORE = False
-    slow = s.search("text:scan OR text:merge", max_hits=10,
-                    sort_by=["+_score"], fetch_fields=[])
-    em.ENABLE_MAXSCORE = True
+    slow = reference_search(s, "text:scan OR text:merge", max_hits=10,
+                            sort_by=["+_score"])
     assert list(fast.hits["_doc_id"]) == list(slow.hits["_doc_id"])
     assert np.allclose(fast.hits["sort_key0"], slow.hits["sort_key0"],
                        rtol=0, atol=0)
@@ -183,8 +179,6 @@ def test_pruned_or_scoring_respects_timestamp_window(tmp_path):
     docs whose scoring was skipped (partial score) would surface with wrong
     scores. 5 high-idf 'rare' docs sit outside the window; 95 'common' docs
     inside. Pruned and naive paths must agree exactly."""
-    import quickwit_ray.search.engine as em
-
     base = 1_700_000_000_000_000
     n = 100
     texts, tss = [], []
@@ -212,13 +206,10 @@ def test_pruned_or_scoring_respects_timestamp_window(tmp_path):
     d = str(tmp_path / "idx")
     build_index(inp, d, IndexConfig("tsprune", mapping), execution="local")
     s = IndexSearcher(d)
-    kw = dict(max_hits=10, sort_by="_score", fetch_fields=[],
+    kw = dict(max_hits=10, sort_by="_score",
               start_timestamp=base, end_timestamp=base + n * 1_000_000)
-    em.ENABLE_MAXSCORE = True
-    fast = s.search("msg:rare OR msg:common", **kw)
-    em.ENABLE_MAXSCORE = False
-    slow = s.search("msg:rare OR msg:common", **kw)
-    em.ENABLE_MAXSCORE = True
+    fast = s.search("msg:rare OR msg:common", fetch_fields=[], **kw)
+    slow = reference_search(s, "msg:rare OR msg:common", **kw)
     assert list(fast.hits["_doc_id"]) == list(slow.hits["_doc_id"])
     assert np.allclose(fast.hits["sort_key0"], slow.hits["sort_key0"],
                        rtol=0, atol=0)

@@ -167,7 +167,8 @@ def main() -> int:
     out["maturity_never_merge"] = True
 
     # ---- warm query latency on the mature split -----------------------
-    _engine.ENABLE_LEAF_CACHE = False
+    # a leaf cache that keeps nothing: every query times a cold leaf
+    _engine._GLOBAL_LEAF_CACHE = _engine._LeafCache(capacity=0)
     s = IndexSearcher(index_dir)
     qset = (
         [f"text:{chr(97 + k)}aterm{k}" for k in range(0, 10)]
