@@ -46,25 +46,12 @@ def _documents_index(sf_dir: str) -> str:
 
 
 def _events_index(sf_dir: str) -> str:
-    from quickwit_ray.config import DocMapping, FieldMapping, IndexConfig, IndexSettings
+    from quickwit_ray.config import IndexConfig, IndexSettings, events_doc_mapping
     from quickwit_ray.index.build import build_index
 
     idx = _index_dir_for(sf_dir, "events")
-    mapping = DocMapping(
-        field_mappings=(
-            FieldMapping(name="event_type", type="text", tokenizer="raw",
-                         record="basic", stored=True, fast=True, tag=True),
-            FieldMapping(name="props", type="json", tokenizer="default",
-                         record="freq", fieldnorms=True, stored=True),
-            FieldMapping(name="ts", type="datetime", stored=True, fast=True),
-            FieldMapping(name="event_id", type="i64", stored=True, fast=True),
-            FieldMapping(name="user_id", type="i64", stored=True, fast=True),
-            FieldMapping(name="value", type="f64", stored=True, fast=True),
-        ),
-        mode="strict", timestamp_field="ts", tag_fields=("event_type",),
-        doc_id_field="event_id", default_search_fields=("props",))
     config = IndexConfig(
-        index_id="events", doc_mapping=mapping,
+        index_id="events", doc_mapping=events_doc_mapping(),
         settings=IndexSettings(split_num_docs_target=1_000_000,
                                commit_docs_threshold=2500))
     build_index(os.path.join(sf_dir, "events.parquet"), idx, config,

@@ -655,3 +655,21 @@ def documents_doc_mapping() -> DocMapping:
         doc_id_field="doc_id",
         default_search_fields=("text",),
     )
+
+
+def events_doc_mapping() -> DocMapping:
+    """Doc mapping for the driver-provided ``events`` table
+    (event_id, ts, user_id, event_type, value, props as a JSON string)."""
+    return DocMapping(
+        field_mappings=(
+            FieldMapping(name="event_type", type="text", tokenizer="raw",
+                         record="basic", stored=True, fast=True, tag=True),
+            FieldMapping(name="props", type="json", tokenizer="default",
+                         record="freq", fieldnorms=True, stored=True),
+            FieldMapping(name="ts", type="datetime", stored=True, fast=True),
+            FieldMapping(name="event_id", type="i64", stored=True, fast=True),
+            FieldMapping(name="user_id", type="i64", stored=True, fast=True),
+            FieldMapping(name="value", type="f64", stored=True, fast=True),
+        ),
+        mode="strict", timestamp_field="ts", tag_fields=("event_type",),
+        doc_id_field="event_id", default_search_fields=("props",))

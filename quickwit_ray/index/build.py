@@ -34,7 +34,7 @@ import glob
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -77,6 +77,34 @@ def _route_partition(batch: pa.Table, key: str, cap: int) -> np.ndarray:
     return (h % np.uint64(cap)).astype(np.int64)
 
 
+def read_batches(config: IndexConfig, path: str,
+                 read_batch_size: int) -> Iterator[pa.Table]:
+    """A source file's batches as every build reads them. The read keeps
+    only the columns indexed, stored (and not excluded binaries), fast,
+    or needed for routing/timestamp/tags; every column in dynamic mode."""
+    mapping = config.doc_mapping
+    pf = pq.ParquetFile(path)
+    cols = list(pf.schema_arrow.names)
+    if mapping.mode != "dynamic":
+        store_bin = config.settings.store_binary_columns
+        needed = set()
+        for f in mapping.field_mappings:
+            stored = f.stored and (store_bin or f.type != "bytes")
+            if f.indexed and f.type == "text" or stored or f.fast or f.tag:
+                needed.add(f.name)
+            needed.update(f.sources)
+        if mapping.timestamp_field:
+            needed.add(mapping.timestamp_field)
+        if mapping.partition_key:
+            needed.add(mapping.partition_key)
+        # dotted field names ("meta.author") map to struct children:
+        # their root struct column must be read
+        roots = {n.split(".", 1)[0] for n in needed if "." in n}
+        cols = [c for c in cols if c in needed or c in roots]
+    for rb in pf.iter_batches(batch_size=read_batch_size, columns=cols):
+        yield pa.Table.from_batches([rb])
+
+
 class IndexPartitionTask:
     """One call indexes one source partition (file).
 
@@ -110,28 +138,6 @@ class IndexPartitionTask:
     def _index_one(self, path: str) -> list[SplitMetadata]:
         mapping = self.config.doc_mapping
         source_partition_id = path
-        # prune at the read: only columns that are indexed, stored (and not
-        # excluded binaries), fast, or needed for routing/timestamp/tags
-        store_bin = self.config.settings.store_binary_columns
-        needed = set()
-        for f in mapping.field_mappings:
-            stored = f.stored and (store_bin or f.type != "bytes")
-            if f.indexed and f.type == "text" or stored or f.fast or f.tag:
-                needed.add(f.name)
-            needed.update(f.sources)
-        if mapping.timestamp_field:
-            needed.add(mapping.timestamp_field)
-        if mapping.partition_key:
-            needed.add(mapping.partition_key)
-        pf = pq.ParquetFile(path)
-        if mapping.mode == "dynamic":
-            cols = list(pf.schema_arrow.names)  # catch-all: read everything
-        else:
-            # dotted field names ("meta.author") map to struct children:
-            # their root struct column must be read
-            roots = {n.split(".", 1)[0] for n in needed if "." in n}
-            cols = [c for c in pf.schema_arrow.names
-                    if c in needed or c in roots]
         splits: list[SplitMetadata] = []
         # workbench: routing partition -> (builder, seq counter)
         bench: dict[int, SplitBuilder] = {}
@@ -153,8 +159,7 @@ class IndexPartitionTask:
                 splits.append(sm)
             seqs[pid] += 1
 
-        for rb in pf.iter_batches(batch_size=self.read_batch_size, columns=cols):
-            batch = pa.Table.from_batches([rb])
+        for batch in read_batches(self.config, path, self.read_batch_size):
             if self.transform is not None:
                 if isinstance(self.transform, str):  # compile once, in
                     # the worker (closures don't pickle; scripts do)

@@ -1,355 +1,125 @@
-"""Wide-path index build: groupby-term shuffle with hot-term salting
-(SURVEY.md §7.1 step 3 / §7.3; the north-star "groupby-term shuffle with
-explicit salting for hot-term skew").
+"""Shuffle build: tokenizing and split writing run as two Ray Data stages
+joined by ONE exchange keyed by shard (SURVEY.md §7.1 step 3).
 
 When to use which build:
-  * `build_index` (build.py): input partitioning == desired split
-    partitioning. Zero shuffles; each task owns a source partition.
-    This is the default and usually the right choice.
-  * `build_index_shuffle` (here): posting-list assembly must cross input
-    batches — e.g. millions of tiny input files per split, or doc routing
-    that redistributes rows. The token stream is exchanged ONCE, keyed by
-    (shard, field, term[, salt]).
+  * `build_index` (build.py): each task reads, tokenizes and writes one
+    source file, with no exchange. This is the default.
+  * `build_index_shuffle` (here): the token streams cross a groupby
+    exchange between the map stage that extracts them and the stage that
+    writes the split.
 
-Pipeline:
-  1. per input file (= shard): vectorized tokenize -> PARTIAL postings per
-     batch: one row per (term, batch) holding packed (doc_ids, tfs) —
-     combine-before-shuffle so the exchange carries one row per distinct
-     term per batch, not one per token.
-     Hot terms (batch df > HOT_DF) are salted: their partials are keyed
-     (term, salt = doc_block % NUM_SALTS) so no single reducer group holds
-     a stopword's full posting list during the shuffle.
-  2. ONE groupby(shard) exchange -> stitch the shard's term table +
-     postings into the standard split artifact (same on-disk format as
-     build.py; readers cannot tell which path built a split). Piece order
-     within a term is restored by a vectorized argsort on each piece's
-     first doc id (pieces are disjoint, increasing doc ranges), so no
-     per-(term, salt) reduce stage exists — that stage cost one Python
-     call per shard x term x salt group, millions at bench scale.
-  3. a parallel per-shard pass (no shuffle) writes fieldnorms/fastfields/
-     docstore directly from the source rows.
+Pipeline (shard = one input file = one split):
+  1. per shard: read the file with the build's column projection
+     (`build.read_batches`) and run `writer.extract_token_streams` on
+     each batch. One row ships per (shard, batch ordinal, field) stream:
+     vocab, term codes, batch-local doc idx, positions and the batch's
+     row count.
+  2. ONE groupby(shard) exchange.
+  3. per shard: `SplitBuilder(config, index_dir, path, 0)` re-reads the
+     file in the same batches and adds each one with its shipped streams
+     in place of extraction, then flushes. `SplitBuilder` is the only
+     writer, so the split is byte-identical to a direct build of the file
+     whenever that build writes one split too (row count below
+     `commit_docs_threshold` and `split_num_docs_target`). This path
+     always writes one split per file; it ignores `partition_key`.
 
-Doc ids within a shard = row index within the input file (deterministic,
-same as the direct path).
+The exchange key is the split being written, so one reducer receives a
+split's whole token stream, hot terms included. Cutting a hot term's
+postings into pieces would not spread them: every piece would still
+reach that same reducer.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from quickwit_ray.config import IndexConfig
-from quickwit_ray.functions.bm25 import fieldnorm_to_id
-from quickwit_ray.functions.tokenizers import tokenize_batch
-from quickwit_ray.index.build import BuildStats, resolve_input
-from quickwit_ray.index.format import (
-    DOCSTORE_FILE,
-    FASTFIELDS_FILE,
-    FIELDNORMS_FILE,
-    POSTINGS_FILE,
-    ExactRowGroupWriter,
-    block_meta,
-    write_footer,
-    write_postings_file,
+from quickwit_ray.index.build import BuildStats, read_batches, resolve_input
+from quickwit_ray.index.writer import (
+    SplitBuilder,
+    TokenStream,
+    extract_token_streams,
 )
-from quickwit_ray.index.writer import MAX_VALUES_PER_TAG_FIELD, deterministic_split_id
 from quickwit_ray.state.manifest import Manifest, SplitMetadata
 
-HOT_DF = 4096      # batch-level df above this -> salt the term's partials
-NUM_SALTS = 8
+STREAM_SCHEMA = pa.schema([
+    ("shard", pa.int32()),
+    ("batch", pa.int32()),
+    ("num_rows", pa.int64()),
+    ("field", pa.string()),  # null: a batch with no stream (rows only)
+    ("vocab", pa.list_(pa.string())),
+    ("codes", pa.binary()),
+    ("doc_idx", pa.binary()),
+    ("positions", pa.binary()),
+])
 
 
-def _emit_partials(batch: pa.Table, *, shard: int, base_doc: int,
-                   config_json: dict) -> pa.Table:
-    """Stage-1 map: one output row per (field, term[, salt], batch)."""
+def _ship_streams(item: dict[str, np.ndarray], *, config_json: dict,
+                  read_batch_size: int) -> pa.Table:
+    """Stage 1: one row per (shard, batch ordinal, field) token stream."""
     config = IndexConfig.from_json(config_json)
-    out = {"shard": [], "field": [], "term": [], "salt": [],
-           "doc_ids": [], "tfs": [], "norms": [], "positions": [],
-           "pos_lens": []}
-    for fm in config.doc_mapping.text_fields:
-        if fm.name not in batch.column_names:
-            continue
-        doc_idx, tokens, positions = tokenize_batch(batch[fm.name].to_pylist(),
-                                                    fm.tokenizer)
-        if len(tokens) == 0:
-            continue
-        # per-doc fieldnorm ids (uint8), shipped per POSTING so the reducer
-        # can compute per-block min-norm score bounds without a second pass
-        nids_local = (fieldnorm_to_id(np.bincount(doc_idx,
-                                                  minlength=batch.num_rows))
-                      if fm.fieldnorms else None)
-        codes, uniq = pd.factorize(tokens)
-        order = np.lexsort((positions, doc_idx, codes))
-        codes_s, docs_s, pos_s = codes[order], doc_idx[order], positions[order]
-        docs_global = docs_s.astype(np.int64) + base_doc
-        # (term, doc) run-lengths -> tf
-        pc_ = np.empty(len(codes_s), bool)
-        pc_[0] = True
-        np.logical_or(codes_s[1:] != codes_s[:-1], docs_s[1:] != docs_s[:-1],
-                      out=pc_[1:])
-        p_starts = np.nonzero(pc_)[0]
-        tfs = np.diff(np.append(p_starts, len(codes_s))).astype(np.uint32)
-        p_code = codes_s[p_starts]
-        p_doc = docs_global[p_starts].astype(np.int32)
-        # term segments over pairs
-        tc = np.empty(len(p_code), bool)
-        tc[0] = True
-        tc[1:] = p_code[1:] != p_code[:-1]
-        t_starts = np.nonzero(tc)[0]
-        t_ends = np.append(t_starts[1:], len(p_code))
-        record_pos = fm.record == "position"
-        record_freq = fm.record in ("freq", "position")
-        pos32 = pos_s.astype(np.int32)
-        tok_starts = p_starts[t_starts]
-        tok_ends = np.append(tok_starts[1:], len(pos_s))
-        for ti, (s, e) in enumerate(zip(t_starts, t_ends)):
-            term = uniq[p_code[s]]
-            df_here = e - s
-            if df_here > HOT_DF:
-                # salt: slice the term's postings into contiguous doc ranges
-                cuts = np.linspace(s, e, NUM_SALTS + 1).astype(np.int64)
-            else:
-                cuts = np.asarray([s, e], np.int64)
-            for ci in range(len(cuts) - 1):
-                cs, ce = int(cuts[ci]), int(cuts[ci + 1])
-                if cs == ce:
-                    continue
-                out["shard"].append(shard)
-                out["field"].append(fm.name)
-                out["term"].append(term)
-                out["salt"].append(ci)
-                out["doc_ids"].append(p_doc[cs:ce].tobytes())
-                out["tfs"].append(tfs[cs:ce].tobytes() if record_freq else b"")
-                out["norms"].append(
-                    nids_local[docs_s[p_starts[cs:ce]]].tobytes()
-                    if nids_local is not None else b"")
-                if record_pos:
-                    ps = p_starts[cs]
-                    pe = p_starts[ce] if ce < len(p_starts) else len(pos_s)
-                    out["positions"].append(pos32[ps:pe].tobytes())
-                    out["pos_lens"].append(tfs[cs:ce].astype(np.int32).tobytes())
-                else:
-                    out["positions"].append(b"")
-                    out["pos_lens"].append(b"")
-        _ = tok_starts, tok_ends
-    return pa.table({
-        "shard": pa.array(out["shard"], pa.int32()),
-        "field": pa.array(out["field"], pa.string()),
-        "term": pa.array(out["term"], pa.string()),
-        "salt": pa.array(out["salt"], pa.int32()),
-        "doc_ids": pa.array(out["doc_ids"], pa.binary()),
-        "tfs": pa.array(out["tfs"], pa.binary()),
-        "norms": pa.array(out["norms"], pa.binary()),
-        "positions": pa.array(out["positions"], pa.binary()),
-        "pos_lens": pa.array(out["pos_lens"], pa.binary()),
-    })
-
-
-def _partials_for_file(item: dict[str, np.ndarray], *, config_json: dict,
-                       read_batch_size: int) -> pa.Table:
-    tables = []
+    rows: dict[str, list] = {k: [] for k in STREAM_SCHEMA.names}
     for shard, path in zip(item["shard"], item["path"]):
-        pf = pq.ParquetFile(str(path))
-        config = IndexConfig.from_json(config_json)
-        cols = [f.name for f in config.doc_mapping.text_fields
-                if f.name in pf.schema_arrow.names]
-        base = 0
-        for rb in pf.iter_batches(batch_size=read_batch_size, columns=cols):
-            tbl = pa.Table.from_batches([rb])
-            tables.append(_emit_partials(tbl, shard=int(shard), base_doc=base,
-                                         config_json=config_json))
-            base += tbl.num_rows
-    return (pa.concat_tables(tables) if tables
-            else _emit_partials(pa.table({}), shard=0, base_doc=0,
-                                config_json=config_json))
+        for bi, batch in enumerate(read_batches(config, str(path),
+                                                 read_batch_size)):
+            streams = extract_token_streams(config.doc_mapping, batch)
+            for s in streams or [None]:
+                rows["shard"].append(int(shard))
+                rows["batch"].append(bi)
+                rows["num_rows"].append(batch.num_rows)
+                rows["field"].append(None if s is None else s.field)
+                rows["vocab"].append([] if s is None else list(s.vocab))
+                for k in ("codes", "doc_idx", "positions"):
+                    rows[k].append(b"" if s is None else
+                                   np.asarray(getattr(s, k), np.int32)
+                                   .tobytes())
+    return pa.Table.from_pydict(rows, schema=STREAM_SCHEMA)
 
 
-def _write_shard_split(g: pd.DataFrame, *, config_json: dict, index_dir: str,
-                       shard_paths: dict[int, str],
-                       read_batch_size: int) -> pd.DataFrame:
-    """Stage-3: one group = one shard's full term set -> write the split
-    artifact. Also re-reads the source file for fieldnorms/fastfields/
-    docstore (narrow per-shard pass, no shuffle)."""
-    import json as _json
-
+def _write_split(group: pa.Table, *, config_json: dict, index_dir: str,
+                 shard_paths: dict[int, str],
+                 read_batch_size: int) -> pa.Table:
+    """Stage 3: one group = one shard's streams -> its split, written by
+    `SplitBuilder` from the re-read batches and the shipped streams."""
     config = IndexConfig.from_json(config_json)
-    mapping = config.doc_mapping
-    shard = int(g["shard"].iloc[0])
-    path = shard_paths[shard]
-    split_id = deterministic_split_id(f"{path}#p0", 0)
-    from quickwit_ray import storage
-
-    split_dir = storage.join(index_dir, "splits", split_id)
-    tmp_dir = storage.staging_dir(split_dir, tag="staged-shuffle")
-    os.makedirs(tmp_dir, exist_ok=True)
-
-    # merge salted sub-lists, sort terms; STITCH IN WINDOWS: the term table
-    # arrives materialized (the map_groups floor), but the output side
-    # flushes every TERMS_PER_ROW_GROUP terms through an incremental
-    # parquet writer instead of double-buffering the whole shard's rows —
-    # round-2 rework toward the 10M-doc shard target.
-    from quickwit_ray.index.format import (
-        POS_TERMS_PER_ROW_GROUP,
-        POSITIONS_FILE,
-        POSITIONS_SCHEMA,
-        POSTINGS_SCHEMA,
-        TERMS_PER_ROW_GROUP,
-    )
-
-    post_writer = ExactRowGroupWriter(os.path.join(tmp_dir, POSTINGS_FILE),
-                                      POSTINGS_SCHEMA, TERMS_PER_ROW_GROUP)
-    pos_writer = ExactRowGroupWriter(os.path.join(tmp_dir, POSITIONS_FILE),
-                                     POSITIONS_SCHEMA, POS_TERMS_PER_ROW_GROUP)
-    any_pos = False
-    rows = {k: [] for k in ("field", "term", "df", "max_tf", "doc_ids", "tfs",
-                            "block_last", "block_max_tf", "block_lens",
-                            "block_min_norm", "positions", "pos_lens")}
-
-    def flush_window() -> None:
-        nonlocal any_pos
-        if not rows["field"]:
-            return
-        post_writer.write(pa.table(
-            {k: pa.array(rows[k], POSTINGS_SCHEMA.field(k).type)
-             for k in POSTINGS_SCHEMA.names}, schema=POSTINGS_SCHEMA))
-        pos_writer.write(pa.table(
-            {"positions": pa.array(rows["positions"], pa.binary()),
-             "pos_lens": pa.array(rows["pos_lens"], pa.binary())},
-            schema=POSITIONS_SCHEMA))
-        any_pos = any_pos or any(len(b) for b in rows["positions"])
-        for v in rows.values():
-            v.clear()
-
-    for (field, term), sub in g.groupby(["field", "term"], sort=True):
-        if len(sub) > 1:
-            # pieces are disjoint, increasing doc ranges (per-batch emits,
-            # optionally salt-sliced): global order = ascending first doc
-            firsts = [np.frombuffer(b[:4], np.int32)[0] if len(b) else -1
-                      for b in sub["doc_ids"]]
-            sub = sub.iloc[np.argsort(firsts, kind="stable")]
-        doc_b = b"".join(sub["doc_ids"])
-        tf_b = b"".join(sub["tfs"])
-        norm_b = b"".join(sub["norms"]) if "norms" in sub else b""
-        docs = np.frombuffer(doc_b, np.int32)
-        tfs = (np.frombuffer(tf_b, np.uint32).astype(np.int64) if tf_b
-               else np.ones(len(docs), np.int64))
-        norms = (np.frombuffer(norm_b, np.uint8)
-                 if len(norm_b) == len(docs) else None)
-        bl, bm, blen, bmin = block_meta(docs, tfs, norms)
-        d = docs.astype(np.int64)
-        deltas = np.empty(len(d), np.int32)
-        if len(d):
-            deltas[0] = d[0]
-            deltas[1:] = np.diff(d)
-        rows["field"].append(field)
-        rows["term"].append(term)
-        rows["df"].append(int(len(docs)))
-        rows["max_tf"].append(int(tfs.max()) if len(tfs) else 1)
-        rows["doc_ids"].append(deltas.tobytes())
-        rows["tfs"].append(tf_b)
-        rows["block_last"].append(bl)
-        rows["block_max_tf"].append(bm)
-        rows["block_lens"].append(blen)
-        rows["block_min_norm"].append(bmin)
-        rows["positions"].append(b"".join(sub["positions"]))
-        rows["pos_lens"].append(b"".join(sub["pos_lens"]))
-        if len(rows["field"]) >= TERMS_PER_ROW_GROUP:
-            flush_window()
-    flush_window()
-    if post_writer.total_rows == 0:
-        write_postings_file(os.path.join(tmp_dir, POSTINGS_FILE),
-                            {k: [] for k in POSTINGS_SCHEMA.names})
-    else:
-        post_writer.close()
-    pos_writer.close()
-    pp = os.path.join(tmp_dir, POSITIONS_FILE)
-    if not any_pos and os.path.exists(pp):
-        os.unlink(pp)
-
-    # per-doc artifacts from the source file (stream, no shuffle)
-    pf = pq.ParquetFile(path)
-    store_bin = config.settings.store_binary_columns
-    stored = [f.name for f in mapping.stored_fields
-              if f.name in pf.schema_arrow.names
-              and (store_bin or f.type != "bytes")]
-    fast = [f.name for f in mapping.fast_fields if f.name in pf.schema_arrow.names]
-    norm_fields = [f for f in mapping.text_fields if f.fieldnorms]
-    norm_acc = {f.name: [] for f in norm_fields}
-    fast_chunks, num_docs = [], 0
-    ts_min = ts_max = None
-    tags: dict[str, set] = {t: set() for t in mapping.tag_fields}
-    writer = None
-    cols = sorted(set(stored) | set(fast) | {f.name for f in norm_fields}
-                  | ({mapping.timestamp_field} if mapping.timestamp_field else set())
-                  | set(mapping.tag_fields))
-    cols = [c for c in cols if c in pf.schema_arrow.names]
-    for rb in pf.iter_batches(batch_size=read_batch_size, columns=cols):
-        tbl = pa.Table.from_batches([rb])
-        for f in norm_fields:
-            didx, toks, _ = tokenize_batch(tbl[f.name].to_pylist(), f.tokenizer)
-            norm_acc[f.name].append(np.bincount(didx, minlength=tbl.num_rows))
-        if fast:
-            fast_chunks.append(tbl.select(fast))
-        if mapping.timestamp_field and mapping.timestamp_field in tbl.column_names:
-            tsi = (tbl[mapping.timestamp_field].cast(pa.timestamp("us"))
-                   .cast(pa.int64()).combine_chunks()
-                   .to_numpy(zero_copy_only=False).astype("float64"))
-            if (~np.isnan(tsi)).any():
-                lo, hi = int(np.nanmin(tsi)), int(np.nanmax(tsi))
-                ts_min = lo if ts_min is None else min(ts_min, lo)
-                ts_max = hi if ts_max is None else max(ts_max, hi)
-        for t in mapping.tag_fields:
-            if t in tbl.column_names and len(tags[t]) <= MAX_VALUES_PER_TAG_FIELD:
-                tags[t].update(tbl[t].unique().to_pylist())
-        st = tbl.select(stored)
-        if writer is None:
-            writer = pq.ParquetWriter(os.path.join(tmp_dir, DOCSTORE_FILE),
-                                      st.schema, compression="zstd",
-                                      compression_level=1)
-        writer.write_table(st)
-        num_docs += tbl.num_rows
-    if writer is not None:
-        writer.close()
-    field_stats = {}
-    norm_cols = {}
-    for f in mapping.text_fields:
-        lens = (np.concatenate(norm_acc[f.name]) if f.name in norm_acc and norm_acc[f.name]
-                else np.zeros(num_docs, np.int64))
-        total = int(lens.sum())
-        field_stats[f.name] = {
-            "total_tokens": total, "num_docs": num_docs,
-            "avgdl": float(np.float32(total) / np.float32(max(num_docs, 1)))}
-        if f.fieldnorms:
-            norm_cols[f"norm_{f.name}"] = fieldnorm_to_id(lens)
-    if norm_cols:
-        pq.write_table(pa.table({k: pa.array(v, pa.uint8())
-                                 for k, v in norm_cols.items()}),
-                       os.path.join(tmp_dir, FIELDNORMS_FILE), compression="zstd")
-    if fast_chunks:
-        pq.write_table(pa.concat_tables(fast_chunks),
-                       os.path.join(tmp_dir, FASTFIELDS_FILE), compression="zstd")
-    tag_out = {t: sorted(map(str, v)) for t, v in tags.items()
-               if v and len(v) <= MAX_VALUES_PER_TAG_FIELD}
-    write_footer(tmp_dir, {
-        "split_id": split_id, "index_id": config.index_id, "num_docs": num_docs,
-        "field_stats": field_stats, "time_range": [ts_min, ts_max], "tags": tag_out})
-    storage.finalize_dir(tmp_dir, split_dir)
-    sm = SplitMetadata(
-        split_id=split_id, index_id=config.index_id, num_docs=num_docs,
-        uncompressed_docs_size_in_bytes=0, source_partition_id=path,
-        time_range_start=ts_min, time_range_end=ts_max,
-        create_timestamp=time.time(), tags=tag_out, field_stats=field_stats)
-    return pd.DataFrame({"split_json": [_json.dumps(sm.to_json())]})
+    group = group.sort_by("batch")
+    ordinals = group["batch"].to_numpy()
+    path = shard_paths[group["shard"][0].as_py()]
+    builder = SplitBuilder(config, index_dir, path, 0)
+    num_batches = 0
+    for bi, batch in enumerate(read_batches(config, path, read_batch_size)):
+        lo, hi = np.searchsorted(ordinals, [bi, bi + 1])
+        shipped = group.slice(lo, hi - lo).to_pylist()
+        if not shipped or any(r["num_rows"] != batch.num_rows
+                              for r in shipped):
+            raise RuntimeError(
+                f"{path}: batch {bi} re-read with {batch.num_rows} rows does "
+                f"not match its shipped streams")
+        builder.add_batch(batch, [
+            TokenStream(r["field"],
+                        np.frombuffer(r["doc_idx"], np.int32),
+                        np.frombuffer(r["codes"], np.int32),
+                        np.asarray(r["vocab"], object),
+                        np.frombuffer(r["positions"], np.int32))
+            for r in shipped if r["field"] is not None])
+        num_batches = bi + 1
+    if num_batches != int(ordinals[-1]) + 1:
+        raise RuntimeError(f"{path}: re-read {num_batches} batches, "
+                           f"{int(ordinals[-1]) + 1} shipped")
+    sm = builder.flush()
+    return pa.table({"split_json": pa.array(
+        [json.dumps(sm.to_json())] if sm is not None else [], pa.string())})
 
 
 def build_index_shuffle(inputs: str | list[str], index_dir: str,
                         config: IndexConfig, *,
                         read_batch_size: int = 8192) -> BuildStats:
-    """Groupby-term shuffle build. Requires a Ray session."""
+    """Shuffle build (one split per input file). Requires a Ray session."""
     import ray.data
 
     t0 = time.time()
@@ -362,32 +132,24 @@ def build_index_shuffle(inputs: str | list[str], index_dir: str,
     if not pending:
         stats.elapsed_sec = time.time() - t0
         return stats
-    shard_paths = {i: p for i, p in enumerate(pending)}
-    items = [{"shard": i, "path": p} for i, p in shard_paths.items()]
+    shard_paths = dict(enumerate(pending))
     cfg_json = config.to_json()
-
-    partials = (ray.data.from_items(items)
-                .map_batches(_partials_for_file, batch_size=1,
-                             fn_kwargs=dict(config_json=cfg_json,
-                                            read_batch_size=read_batch_size),
-                             batch_format="default"))
-    # ONE exchange: partials shuffle keyed by shard straight into the
-    # stitch. The former stage-2 reduce (groupby (shard, field, term,
-    # salt) -> concat) cost one Python call per shard x term x salt group
-    # — millions of calls at bench scale — and its doc-order restoration
-    # is a vectorized argsort inside the stitch instead.
-    split_rows = partials.groupby("shard").map_groups(
-        _write_shard_split, batch_format="pandas",
+    streams = ray.data.from_items(
+        [{"shard": i, "path": p} for i, p in shard_paths.items()]
+    ).map_batches(_ship_streams, batch_size=1, batch_format="default",
+                  fn_kwargs=dict(config_json=cfg_json,
+                                 read_batch_size=read_batch_size))
+    split_rows = streams.groupby("shard").map_groups(
+        _write_split, batch_format="pyarrow",
         fn_kwargs=dict(config_json=cfg_json, index_dir=index_dir,
                        shard_paths=shard_paths,
                        read_batch_size=read_batch_size))
-    import json as _json
-
-    by_partition: dict[str, list[SplitMetadata]] = {}
-    for b in split_rows.iter_batches(batch_size=None, batch_format="pandas"):
-        for sj in b["split_json"]:
-            sm = SplitMetadata.from_json(_json.loads(sj))
-            by_partition.setdefault(sm.source_partition_id, []).append(sm)
+    # files that yield no split (no rows) still checkpoint
+    by_partition: dict[str, list[SplitMetadata]] = {p: [] for p in pending}
+    for b in split_rows.iter_batches(batch_size=None, batch_format="pyarrow"):
+        for sj in b["split_json"].to_pylist():
+            sm = SplitMetadata.from_json(json.loads(sj))
+            by_partition[sm.source_partition_id].append(sm)
     manifest.publish_many(by_partition)
     stats.num_docs = sum(s.num_docs for sms in by_partition.values() for s in sms)
     stats.num_splits = sum(len(s) for s in by_partition.values())

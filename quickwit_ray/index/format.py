@@ -111,39 +111,6 @@ def delta_decode(buf: bytes) -> np.ndarray:
     return d
 
 
-def block_meta(doc_ids: np.ndarray, tfs: Optional[np.ndarray],
-               norms: Optional[np.ndarray] = None
-               ) -> tuple[bytes, bytes, bytes, bytes]:
-    """(block_last, block_max_tf, block_lens, block_min_norm) for one
-    posting list; blocks of BLOCK_SIZE docs (merged splits may carry
-    shorter blocks — the explicit lens column makes block byte-ranges
-    recoverable there). ``norms`` is the per-POSTING fieldnorm-id array
-    (uint8, parallel to doc_ids); the per-block MIN norm id (= shortest
-    doc, fieldnorm table is monotone) yields a per-block SCORE upper
-    bound at query time that still prunes when tf is flat — the tantivy
-    BlockWAND (fieldnorm, tf) pair analog. b'' when norms is None."""
-    n = len(doc_ids)
-    if n == 0:
-        return b"", b"", b"", b""
-    if n <= BLOCK_SIZE:  # fast path: the overwhelmingly common single block
-        last = np.asarray([doc_ids[-1]], np.int32)
-        mx = np.asarray([tfs.max() if tfs is not None and len(tfs) else 1], np.int32)
-        mn = (np.asarray([norms.min()], np.uint8).tobytes()
-              if norms is not None and len(norms) else b"")
-        return last.tobytes(), mx.tobytes(), np.asarray([n], np.int32).tobytes(), mn
-    starts = np.arange(0, n, BLOCK_SIZE)
-    ends = np.minimum(starts + BLOCK_SIZE, n)
-    block_last = np.asarray(doc_ids, np.int32)[ends - 1]
-    lens = (ends - starts).astype(np.int32)
-    if tfs is None or len(tfs) == 0:
-        block_max = np.ones(len(starts), np.int32)
-    else:
-        block_max = np.maximum.reduceat(np.asarray(tfs, np.int64), starts).astype(np.int32)
-    bmin = (np.minimum.reduceat(np.asarray(norms, np.uint8), starts).tobytes()
-            if norms is not None and len(norms) else b"")
-    return block_last.tobytes(), block_max.tobytes(), lens.tobytes(), bmin
-
-
 POSTINGS_SCHEMA = pa.schema([
     ("field", pa.string()),
     ("term", pa.string()),

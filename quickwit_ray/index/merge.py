@@ -1073,24 +1073,13 @@ def execute_merge(index_dir: str, split_ids: list[str], index_id: str,
         if len(vals) <= MAX_VALUES_PER_TAG_FIELD:
             tags[tf_] = sorted(vals)
     # field-caps metadata: union of per-source (name, type) entries,
-    # OR-ing searchable/aggregatable (list_fields.rs merge). Sources
-    # predating the metadata (no "fields" key) poison the union — omit
-    # the key entirely so readers fall back to mapping-derived caps.
-    fields_meta: Optional[list[dict]] = []
+    # OR-ing searchable/aggregatable (list_fields.rs merge)
     fm_acc: dict[tuple[str, str], list[bool]] = {}
     for f in footers:
-        src = f.get("fields")
-        if src is None:
-            fields_meta = None
-            break
-        for e in src:
+        for e in f["fields"]:
             cur = fm_acc.setdefault((e["name"], e["type"]), [False, False])
             cur[0] |= bool(e["searchable"])
             cur[1] |= bool(e["aggregatable"])
-    if fields_meta is not None:
-        fields_meta = [{"name": n, "type": t, "searchable": s,
-                        "aggregatable": a}
-                       for (n, t), (s, a) in sorted(fm_acc.items())]
     footer = {
         "split_id": new_id,
         "index_id": index_id,
@@ -1099,9 +1088,9 @@ def execute_merge(index_dir: str, split_ids: list[str], index_id: str,
         "time_range": [min(t_starts) if t_starts else None,
                        max(t_ends) if t_ends else None],
         "tags": tags,
+        "fields": [{"name": n, "type": t, "searchable": s, "aggregatable": a}
+                   for (n, t), (s, a) in sorted(fm_acc.items())],
     }
-    if fields_meta is not None:
-        footer["fields"] = fields_meta
     if docstore_segments is not None:
         footer["docstore_segments"] = docstore_segments
     elif rewrite_blob_specs:

@@ -20,7 +20,7 @@ import hashlib
 import os
 import shutil
 import time
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -283,6 +283,101 @@ def _coerce_datetime(col, fm) -> pa.ChunkedArray:
                              .cast(pa.timestamp("us"))])
 
 
+class TokenStream(NamedTuple):
+    """One inverted field's tokens in one batch, dictionary-encoded:
+    token k is ``vocab[codes[k]]`` at ``positions[k]`` of batch row
+    ``doc_idx[k]``. ``vocab`` may repeat a string (lowercasing after
+    encoding); the field accumulator dedups through its own vocab."""
+
+    field: str
+    doc_idx: np.ndarray
+    codes: np.ndarray
+    vocab: np.ndarray
+    positions: np.ndarray
+
+
+def _effective_text_fields(mapping, batch: pa.Table):
+    """Explicit text + json fields + (dynamic mode) implicit mappings
+    for unmapped string columns (the `_dynamic` catch-all path)."""
+    out = list(mapping.text_fields)
+    out += [f for f in mapping.field_mappings
+            if f.type == "json" and f.indexed]
+    if mapping.mode == "dynamic" and mapping.dynamic_indexed:
+        mapped = {f.name for f in mapping.field_mappings}
+        for i, col in enumerate(batch.column_names):
+            t = batch.schema.types[i]
+            if (pa.types.is_list(t) or pa.types.is_large_list(t)):
+                t = t.value_type  # string arrays tokenize per element
+            if col not in mapped and (pa.types.is_string(t)
+                                      or pa.types.is_large_string(t)):
+                out.append(mapping.resolve_field(col))
+    return out
+
+
+def extract_token_streams(mapping, batch: pa.Table) -> list[TokenStream]:
+    """Every inverted field's token stream of one batch: mapped text,
+    json paths, concatenate fields, list columns and (dynamic mode)
+    unmapped string columns. A field whose column is absent yields no
+    stream, or a KeyError under a strict mapping."""
+    import pandas as pd
+
+    batch = _flatten_structs(batch)
+    out: list[TokenStream] = []
+    for fm in _effective_text_fields(mapping, batch):
+        if fm.sources:
+            # Concatenate field: token streams of several source
+            # columns merged under one inverted field; positions are
+            # offset per source so phrases never match across sources
+            sources = [s for s in fm.sources if s in batch.column_names]
+            if getattr(fm, "include_dynamic_fields", False):
+                mapped = {f.name for f in mapping.field_mappings}
+                sources += [c for c in batch.column_names
+                            if c not in mapped and c not in sources]
+            parts = []
+            for si, src in enumerate(sources):
+                try:
+                    src_fm = mapping.field(src)
+                except KeyError:
+                    src_fm = None
+                di, tk, ps = _concat_column_tokens(
+                    batch[src], fm.tokenizer,
+                    src_fm is not None and src_fm.type == "json")
+                parts.append((di, tk, ps + np.int32(si * 1_000_000)))
+            if parts:
+                doc_idx = np.concatenate([p[0] for p in parts])
+                tokens = np.concatenate([p[1] for p in parts])
+                positions = np.concatenate([p[2] for p in parts])
+            else:
+                doc_idx = np.empty(0, np.int32)
+                tokens = np.empty(0, object)
+                positions = np.empty(0, np.int32)
+        elif fm.name not in batch.column_names:
+            if mapping.mode == "strict":
+                raise KeyError(f"strict mapping: missing field {fm.name}")
+            continue
+        elif fm.type == "json":
+            doc_idx, tokens, positions = json_field_tokens(
+                batch[fm.name].to_pylist(), fm.tokenizer)
+        elif pa.types.is_list(batch.schema.field(fm.name).type) \
+                or pa.types.is_large_list(batch.schema.field(fm.name).type):
+            # multi-valued text field (Cardinality::MultiValued = JSON
+            # array of the scalar): tokenize each element, offset
+            # positions per element so phrases never cross elements
+            doc_idx, tokens, positions = _tokenize_list_column(
+                batch[fm.name], fm.tokenizer)
+        else:
+            # scalar text column: dictionary-encoded Arrow-kernel
+            # tokenization (no per-token Python strings on this path)
+            out.append(TokenStream(fm.name, *tokenize_batch_encoded(
+                batch[fm.name], fm.tokenizer)))
+            continue
+        # tokenizing branches: batch-local vocab via hash-based
+        # factorize (beats sort-based np.unique here)
+        codes, vocab = pd.factorize(tokens)
+        out.append(TokenStream(fm.name, doc_idx, codes, vocab, positions))
+    return out
+
+
 def deterministic_split_id(source_partition_id: str, seq: int) -> str:
     """Content-addressed, deterministic split id: identical re-runs of a
     source partition produce identical split ids (idempotent publish)."""
@@ -338,115 +433,55 @@ class SplitBuilder:
 
     # ------------------------------------------------------------------
 
-    def _effective_text_fields(self, batch: pa.Table):
-        """Explicit text + json fields + (dynamic mode) implicit mappings
-        for unmapped string columns (the `_dynamic` catch-all path)."""
-        out = list(self.mapping.text_fields)
-        out += [f for f in self.mapping.field_mappings
-                if f.type == "json" and f.indexed]
-        if self.mapping.mode == "dynamic" and self.mapping.dynamic_indexed:
-            mapped = {f.name for f in self.mapping.field_mappings}
-            for i, col in enumerate(batch.column_names):
-                t = batch.schema.types[i]
-                if (pa.types.is_list(t) or pa.types.is_large_list(t)):
-                    t = t.value_type  # string arrays tokenize per element
-                if col not in mapped and (pa.types.is_string(t)
-                                          or pa.types.is_large_string(t)):
-                    out.append(self.mapping.resolve_field(col))
-        return out
-
-    def add_batch(self, batch: pa.Table) -> None:
+    def add_batch(self, batch: pa.Table,
+                  streams: Optional[list[TokenStream]] = None) -> None:
+        """Index one batch: extract its token streams, accumulate them,
+        store its docs. ``streams`` is `extract_token_streams` of this
+        same batch when the caller already ran it (the shuffle build)."""
         n = batch.num_rows
         if n == 0:
             return
         batch = _flatten_structs(batch)
+        if streams is None:
+            streams = extract_token_streams(self.mapping, batch)
+        self._accumulate(streams, n)
+        self._store_docs(batch)
+
+    def _accumulate(self, streams: list[TokenStream], n: int) -> None:
+        """Append one batch's token streams (n rows) to the field
+        accumulators, re-coding batch vocabularies to split term ids."""
         base = self.num_docs
-        # 1. inverted fields. Every branch yields a dictionary-encoded
-        # token stream (doc_idx, inv -> uniq, positions); the scalar-text
-        # branch encodes directly in Arrow kernels, the others tokenize
-        # then factorize.
-        for fm in self._effective_text_fields(batch):
-            tokens = None
-            if fm.sources:
-                # Concatenate field: token streams of several source
-                # columns merged under one inverted field; positions are
-                # offset per source so phrases never match across sources
-                sources = [s for s in fm.sources if s in batch.column_names]
-                if getattr(fm, "include_dynamic_fields", False):
-                    mapped = {f.name for f in self.mapping.field_mappings}
-                    sources += [c for c in batch.column_names
-                                if c not in mapped and c not in sources]
-                parts = []
-                for si, src in enumerate(sources):
-                    try:
-                        src_fm = self.mapping.field(src)
-                    except KeyError:
-                        src_fm = None
-                    di, tk, ps = _concat_column_tokens(
-                        batch[src], fm.tokenizer,
-                        src_fm is not None and src_fm.type == "json")
-                    parts.append((di, tk, ps + np.int32(si * 1_000_000)))
-                if parts:
-                    doc_idx = np.concatenate([p[0] for p in parts])
-                    tokens = np.concatenate([p[1] for p in parts])
-                    positions = np.concatenate([p[2] for p in parts])
-                else:
-                    doc_idx = np.empty(0, np.int32)
-                    tokens = np.empty(0, object)
-                    positions = np.empty(0, np.int32)
-            elif fm.name not in batch.column_names:
-                if self.mapping.mode == "strict":
-                    raise KeyError(f"strict mapping: missing field {fm.name}")
-                continue
-            elif fm.type == "json":
-                doc_idx, tokens, positions = json_field_tokens(
-                    batch[fm.name].to_pylist(), fm.tokenizer)
-            elif pa.types.is_list(batch.schema.field(fm.name).type) \
-                    or pa.types.is_large_list(batch.schema.field(fm.name).type):
-                # multi-valued text field (Cardinality::MultiValued = JSON
-                # array of the scalar): tokenize each element, offset
-                # positions per element so phrases never cross elements
-                doc_idx, tokens, positions = _tokenize_list_column(
-                    batch[fm.name], fm.tokenizer)
-            else:
-                # scalar text column: dictionary-encoded Arrow-kernel
-                # tokenization (no per-token Python strings on this path)
-                doc_idx, inv, uniq, positions = tokenize_batch_encoded(
-                    batch[fm.name], fm.tokenizer)
-            acc = self._accs.get(fm.name)
+        for s in streams:
+            acc = self._accs.get(s.field)
             if acc is None:
-                acc = self._accs[fm.name] = _FieldAcc()
+                acc = self._accs[s.field] = _FieldAcc()
             # doc lengths (for fieldnorms) = token count per doc; pad any
             # gap first so a field absent from earlier batches (dynamic /
             # lenient modes) still aligns norms to the right doc ids
             if acc.covered < base:
                 acc.doc_lens.append(np.zeros(base - acc.covered, np.int32))
-            acc.doc_lens.append(np.bincount(doc_idx, minlength=n).astype(np.int32))
+            acc.doc_lens.append(np.bincount(s.doc_idx, minlength=n)
+                                .astype(np.int32))
             acc.covered = base + n
-            if tokens is not None:
-                if len(tokens) == 0:
-                    continue
-                # tokenizing branches: batch-local vocab via hash-based
-                # factorize (beats sort-based np.unique here)
-                import pandas as pd
-
-                inv, uniq = pd.factorize(tokens)
-            elif len(inv) == 0:
+            if len(s.codes) == 0:
                 continue
             vocab = acc.vocab
-            lut = np.empty(len(uniq), np.int32)
-            for j, t in enumerate(uniq):
+            lut = np.empty(len(s.vocab), np.int32)
+            for j, t in enumerate(s.vocab):
                 tid = vocab.get(t)
                 if tid is None:
                     tid = len(vocab)
                     vocab[t] = tid
                 lut[j] = tid
-            acc.term_ids.append(lut[inv])
-            acc.doc_ids.append(doc_idx.astype(np.int32) + np.int32(base))
-            acc.positions.append(positions)
-            self.est_bytes += len(inv) * 12
+            acc.term_ids.append(lut[s.codes])
+            acc.doc_ids.append(s.doc_idx.astype(np.int32) + np.int32(base))
+            acc.positions.append(s.positions)
+            self.est_bytes += len(s.codes) * 12
 
-        # 2. fast fields + docstore + timestamp/tag tracking.
+    def _store_docs(self, batch: pa.Table) -> None:
+        """Fast fields, timestamp range, tags and doc store of one
+        flattened batch."""
+        n = batch.num_rows
         # INDEXED scalar fields persist their column even when fast=false:
         # the reference indexes them as term postings; the columnar analog
         # of those postings IS this column (term/range queries scan it),
@@ -785,8 +820,7 @@ class SplitBuilder:
 
             # global block grid: term i owns ceil(df_i / BLOCK_SIZE)
             # blocks; one reduceat over the concatenated block starts
-            # computes every block's (last_doc, max_tf, len, min_norm) —
-            # same values block_meta() yields per term
+            # computes every block's (last_doc, max_tf, len, min_norm)
             nblocks = (dfs + BLOCK_SIZE - 1) // BLOCK_SIZE
             blk_bounds = np.concatenate([[0], np.cumsum(nblocks)])
             total_blocks = int(blk_bounds[-1])

@@ -76,7 +76,7 @@ def list_field_entries(index_dir: str,
         except OSError:
             flds = None
         if flds is None:
-            # legacy split: mapping-derived caps (presence unknowable)
+            # unreadable footer: mapping-derived caps (presence unknowable)
             from quickwit_ray.config import IndexConfig
 
             cfg = IndexConfig.from_json(m.index_config_json)

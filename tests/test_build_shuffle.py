@@ -1,29 +1,119 @@
-"""Groupby-term shuffle build path: artifact-equivalent to the direct
-per-partition build (same split boundaries -> identical BM25 scores)."""
+"""Shuffle build: `SplitBuilder` writes its split from the shipped token
+streams, so the split is byte-identical to a direct build of the same
+file (one split per file both ways)."""
+
+import json
+import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
-from quickwit_ray.config import IndexConfig, IndexSettings, documents_doc_mapping
+from quickwit_ray.config import (
+    DocMapping,
+    FieldMapping,
+    IndexConfig,
+    IndexSettings,
+    documents_doc_mapping,
+    events_doc_mapping,
+)
 from quickwit_ray.index.build import build_index
 from quickwit_ray.search.engine import IndexSearcher
+from quickwit_ray.state.manifest import Manifest
 
-DOCS = "/root/testdata/sf0.001/documents.parquet"
+SF = "/root/testdata/sf0.001"
+DOCS = f"{SF}/documents.parquet"
+# thresholds above every input's row count: the direct build writes one
+# split per file, like the shuffle build
+ONE_SPLIT = IndexSettings(split_num_docs_target=10_000_000,
+                          commit_docs_threshold=10_000_000)
 
 
-@pytest.fixture(scope="module")
-def both_indexes(tmp_path_factory, ray_session):
+def _dynamic_input(tmp) -> tuple[str, DocMapping]:
+    """Dynamic mapping over a struct column, a list-of-strings column and
+    a concatenate field, spread over several read batches."""
+    n = 300
+    path = str(tmp / "dynamic.parquet")
+    pq.write_table(pa.table({
+        "id": pa.array(range(n), pa.int64()),
+        "title": [f"title {i % 7} alpha" for i in range(n)],
+        "meta": pa.array([{"author": f"auth{i % 5}", "score": i}
+                          for i in range(n)]),
+        "tags": [[f"t{i % 3}", f"x y{i % 4}"] for i in range(n)],
+        "body": [None if i % 11 == 0 else f"body words {i} beta"
+                 for i in range(n)],
+    }), path, row_group_size=100)
+    mapping = DocMapping(field_mappings=(
+        FieldMapping(name="id", type="i64", fast=True),
+        FieldMapping(name="title", type="text", record="position",
+                     fieldnorms=True),
+        FieldMapping(name="all", type="text", record="position",
+                     fieldnorms=True, stored=False,
+                     sources=("title", "body")),
+    ), mode="dynamic", doc_id_field="id")
+    return path, mapping
+
+
+@pytest.fixture(scope="module", params=["documents", "events", "dynamic"])
+def both_builds(request, tmp_path_factory, ray_session):
+    """(input kind, direct index dir, shuffle index dir) over one file."""
     from quickwit_ray.index.build_shuffle import build_index_shuffle
 
-    tmp = tmp_path_factory.mktemp("shufidx")
-    cfg = IndexConfig("documents", documents_doc_mapping(),
-                      IndexSettings(split_num_docs_target=10_000))
-    direct = str(tmp / "direct")
-    shuffled = str(tmp / "shuffled")
-    build_index(DOCS, direct, cfg, execution="local")
-    st = build_index_shuffle(DOCS, shuffled, cfg)
-    assert st.num_docs == 500 and st.num_splits == 1
-    return direct, shuffled
+    tmp = tmp_path_factory.mktemp(f"shuf-{request.param}")
+    if request.param == "documents":
+        path, mapping = DOCS, documents_doc_mapping()
+    elif request.param == "events":
+        path, mapping = f"{SF}/events.parquet", events_doc_mapping()
+    else:
+        path, mapping = _dynamic_input(tmp)
+    cfg = IndexConfig(request.param, mapping, ONE_SPLIT)
+    direct, shuffled = str(tmp / "direct"), str(tmp / "shuffled")
+    # 128-row batches: several read batches per file
+    build_index(path, direct, cfg, execution="local", read_batch_size=128)
+    st = build_index_shuffle(path, shuffled, cfg, read_batch_size=128)
+    assert st.num_docs == pq.ParquetFile(path).metadata.num_rows
+    assert st.num_splits == 1
+    return request.param, direct, shuffled
+
+
+def _only_split(index_dir):
+    (sm,) = Manifest(index_dir).published_splits()
+    return sm, os.path.join(index_dir, "splits", sm.split_id)
+
+
+def test_split_byte_identical(both_builds):
+    (sm_d, dir_d), (sm_s, dir_s) = map(_only_split, both_builds[1:])
+    names = sorted(os.listdir(dir_d))
+    assert names == sorted(os.listdir(dir_s))
+    assert "footer.json" in names
+    for name in names:
+        with open(os.path.join(dir_d, name), "rb") as a, \
+                open(os.path.join(dir_s, name), "rb") as b:
+            assert a.read() == b.read(), name
+    meta_d, meta_s = sm_d.to_json(), sm_s.to_json()
+    meta_d.pop("create_timestamp")
+    meta_s.pop("create_timestamp")
+    assert meta_d == meta_s
+    assert sm_s.uncompressed_docs_size_in_bytes > 0
+
+
+# per input: (query, hits) that both builds must answer alike; the
+# dynamic ones hit a struct child, a list element and a concatenate field
+EXPECTED_HITS = {
+    "documents": [("text:scan", 405), ('text:"table scan"', 33)],
+    "events": [("props.k:87", 12), ("event_type:click", 210)],
+    "dynamic": [("meta.author:auth3", 60), ("tags:y2", 75),
+                ("all:beta", 272), ("all:alpha", 300)],
+}
+
+
+def test_hits_on_both_builds(both_builds):
+    kind, *dirs = both_builds
+    for index_dir in dirs:
+        s = IndexSearcher(index_dir)
+        for q, hits in EXPECTED_HITS[kind]:
+            assert s.search(q, max_hits=0).num_hits == hits, (index_dir, q)
 
 
 QUERIES = ["text:scan", "+text:scan +text:merge", "text:scan -text:merge",
@@ -31,15 +121,29 @@ QUERIES = ["text:scan", "+text:scan +text:merge", "text:scan -text:merge",
            "text:mer*"]
 
 
-def test_counts_identical(both_indexes):
-    d, s = both_indexes
+@pytest.fixture(scope="module")
+def documents_builds(tmp_path_factory, ray_session):
+    from quickwit_ray.index.build_shuffle import build_index_shuffle
+
+    tmp = tmp_path_factory.mktemp("shufidx")
+    cfg = IndexConfig("documents", documents_doc_mapping(),
+                      IndexSettings(split_num_docs_target=10_000))
+    direct, shuffled = str(tmp / "direct"), str(tmp / "shuffled")
+    build_index(DOCS, direct, cfg, execution="local")
+    st = build_index_shuffle(DOCS, shuffled, cfg)
+    assert st.num_docs == 500 and st.num_splits == 1
+    return direct, shuffled
+
+
+def test_counts_identical(documents_builds):
+    d, s = documents_builds
     sd, ss = IndexSearcher(d), IndexSearcher(s)
     for q in QUERIES:
         assert sd.search(q, max_hits=0).num_hits == ss.search(q, max_hits=0).num_hits, q
 
 
-def test_bm25_scores_identical(both_indexes):
-    d, s = both_indexes
+def test_bm25_scores_identical(documents_builds):
+    d, s = documents_builds
     sd, ss = IndexSearcher(d), IndexSearcher(s)
     for q in ["text:scan", "text:scan OR text:merge", 'text:"table scan"']:
         hd = sd.search(q, max_hits=25, sort_by="_score", fetch_fields=[]).hits
@@ -48,11 +152,42 @@ def test_bm25_scores_identical(both_indexes):
         assert np.allclose(hd["sort_key0"], hs["sort_key0"], rtol=0, atol=0), q
 
 
-def test_shuffle_resume_noop(both_indexes, tmp_path):
+def test_shuffle_resume_noop(documents_builds):
     from quickwit_ray.index.build_shuffle import build_index_shuffle
 
-    _, s = both_indexes
+    _, s = documents_builds
     cfg = IndexConfig("documents", documents_doc_mapping(),
                       IndexSettings(split_num_docs_target=10_000))
     st = build_index_shuffle(DOCS, s, cfg)
     assert st.num_docs == 0  # checkpointed partition skipped
+
+
+def test_merge_keeps_field_caps_of_shuffled_split(tmp_path, ray_session):
+    """A merge over one direct and one shuffle-built split writes the
+    same field-caps metadata as a merge over two direct splits."""
+    from quickwit_ray.config import MergePolicyConfig
+    from quickwit_ray.index.build_shuffle import build_index_shuffle
+    from quickwit_ray.index.merge import run_merge_pipeline
+
+    tbl = pq.read_table(DOCS)
+    halves = [str(tmp_path / f"half{i}.parquet") for i in range(2)]
+    pq.write_table(tbl.slice(0, 250), halves[0])
+    pq.write_table(tbl.slice(250), halves[1])
+    cfg = IndexConfig("documents", documents_doc_mapping(), IndexSettings(
+        split_num_docs_target=10_000_000,
+        merge_policy=MergePolicyConfig(merge_factor=2, max_merge_factor=2,
+                                       min_level_num_docs=1000)))
+    merged_fields = []
+    for second_build in ("direct", "shuffle"):
+        d = str(tmp_path / second_build)
+        build_index(halves[0], d, cfg, execution="local")
+        if second_build == "shuffle":
+            build_index_shuffle(halves[1], d, cfg)
+        else:
+            build_index(halves[1], d, cfg, execution="local")
+        assert run_merge_pipeline(d, execution="local") == 1
+        sm, split_dir = _only_split(d)
+        assert sm.num_docs == 500
+        with open(os.path.join(split_dir, "footer.json")) as f:
+            merged_fields.append(json.load(f)["fields"])
+    assert merged_fields[0] and merged_fields[0] == merged_fields[1]

@@ -1,13 +1,26 @@
 """Hypothesis property tests for the codec + tokenizer invariants."""
 
+import os
+import tempfile
+
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quickwit_ray.config import DocMapping, FieldMapping, IndexConfig
 from quickwit_ray.functions.bm25 import fieldnorm_to_id, id_to_fieldnorm
 from quickwit_ray.functions.tokenizers import tokenize, tokenize_batch
-from quickwit_ray.index.format import BLOCK_SIZE, block_meta, delta_decode, delta_encode
+from quickwit_ray.index.format import (
+    BLOCK_SIZE,
+    FIELDNORMS_FILE,
+    POSTINGS_FILE,
+    delta_decode,
+    delta_encode,
+)
+from quickwit_ray.index.writer import SplitBuilder
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**28), min_size=1,
@@ -18,20 +31,40 @@ def test_delta_roundtrip(doc_ids):
     assert (delta_decode(delta_encode(docs)) == docs).all()
 
 
-@given(st.lists(st.integers(min_value=0, max_value=2**24), min_size=1,
+@given(st.lists(st.integers(min_value=0, max_value=1500), min_size=1,
                 max_size=600, unique=True),
-       st.lists(st.integers(min_value=1, max_value=10_000), min_size=1,
+       st.lists(st.integers(min_value=1, max_value=20), min_size=1,
                 max_size=600))
 @settings(max_examples=60, deadline=None)
 def test_block_meta_invariants(doc_ids, tfs):
+    """Block columns `SplitBuilder.flush` writes for one term's postings:
+    per-block lens, last doc, max tf and min fieldnorm id."""
     docs = np.asarray(sorted(doc_ids), np.int32)
     t = np.asarray((tfs * ((len(docs) // len(tfs)) + 1))[: len(docs)], np.int64)
-    norms = ((docs * np.int32(37)) % np.int32(256)).astype(np.uint8)
-    bl, bm, lens, bmin = block_meta(docs, t, norms)
-    bl_a = np.frombuffer(bl, np.int32)
-    bm_a = np.frombuffer(bm, np.int32)
-    ln_a = np.frombuffer(lens, np.int32)
-    mn_a = np.frombuffer(bmin, np.uint8)
+    tf_of = np.zeros(int(docs[-1]) + 1, np.int64)
+    tf_of[docs] = t
+    # filler tokens vary doc lengths, so block min norms vary too
+    texts = [" ".join(["hit"] * int(k) + ["pad"] * (i * 37 % 61))
+             for i, k in enumerate(tf_of)]
+    mapping = DocMapping(field_mappings=(
+        FieldMapping(name="normed", record="freq", fieldnorms=True),
+        FieldMapping(name="plain", record="freq")), doc_id_field="normed")
+    with tempfile.TemporaryDirectory() as d:
+        b = SplitBuilder(IndexConfig("blocks", mapping), d, "src", 0)
+        b.add_batch(pa.table({"normed": texts, "plain": texts}))
+        b.flush()
+        split = os.path.join(d, "splits", b.split_id)
+        rows = {r["field"]: r for r in
+                pq.read_table(os.path.join(split, POSTINGS_FILE)).to_pylist()
+                if r["term"] == "hit"}
+        norms = pq.read_table(os.path.join(split, FIELDNORMS_FILE))[
+            "norm_normed"].to_numpy()[docs]
+    row = rows["normed"]
+    assert (delta_decode(row["doc_ids"]) == docs).all()
+    bl_a = np.frombuffer(row["block_last"], np.int32)
+    bm_a = np.frombuffer(row["block_max_tf"], np.int32)
+    ln_a = np.frombuffer(row["block_lens"], np.int32)
+    mn_a = np.frombuffer(row["block_min_norm"], np.uint8)
     assert ln_a.sum() == len(docs)
     assert (ln_a <= BLOCK_SIZE).all() and (ln_a > 0).all()
     assert bl_a[-1] == docs[-1]
@@ -43,8 +76,9 @@ def test_block_meta_invariants(doc_ids, tfs):
         assert bl_a[i] == docs[s + ln - 1]
         assert bm_a[i] == t[s: s + ln].max()
         assert mn_a[i] == norms[s: s + ln].min()
-    # norms omitted -> empty min-norm bytes (legacy-compatible)
-    assert block_meta(docs, t)[3] == b""
+    # a field without fieldnorms -> empty min-norm bytes, same blocks
+    assert rows["plain"]["block_min_norm"] == b""
+    assert rows["plain"]["block_lens"] == row["block_lens"]
 
 
 @given(st.integers(min_value=0, max_value=2**30))
