@@ -584,14 +584,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         from quickwit_ray.config import (IndexConfig, IndexSettings,
                                          documents_doc_mapping)
-        from quickwit_ray.index.build_shuffle import build_index_shuffle
+        from quickwit_ray.index.build import build_index
         from quickwit_ray.search.engine import IndexSearcher
 
+        # the build as Ray tasks, one per file (a shuffle keyed by the
+        # split being written would be an identity repartition)
         idx_dir = _index_dir_for(sf, "documents_shuffle")
         shutil.rmtree(idx_dir, ignore_errors=True)
         cfg = IndexConfig("docs_s", documents_doc_mapping(),
                           IndexSettings(split_num_docs_target=1_000_000))
-        build_index_shuffle(os.path.join(sf, "documents.parquet"), idx_dir, cfg)
+        build_index(os.path.join(sf, "documents.parquet"), idx_dir, cfg,
+                    execution="ray")
         s = IndexSearcher(idx_dir)
         resp = s.search("text:scan", max_hits=1_000_000, fetch_fields=["doc_id"])
         return _ids_df(resp.hits["doc_id"] if len(resp.hits) else [])

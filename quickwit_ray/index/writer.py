@@ -283,7 +283,7 @@ def _coerce_datetime(col, fm) -> pa.ChunkedArray:
                              .cast(pa.timestamp("us"))])
 
 
-class TokenStream(NamedTuple):
+class _TokenStream(NamedTuple):
     """One inverted field's tokens in one batch, dictionary-encoded:
     token k is ``vocab[codes[k]]`` at ``positions[k]`` of batch row
     ``doc_idx[k]``. ``vocab`` may repeat a string (lowercasing after
@@ -314,15 +314,14 @@ def _effective_text_fields(mapping, batch: pa.Table):
     return out
 
 
-def extract_token_streams(mapping, batch: pa.Table) -> list[TokenStream]:
-    """Every inverted field's token stream of one batch: mapped text,
-    json paths, concatenate fields, list columns and (dynamic mode)
+def _extract_token_streams(mapping, batch: pa.Table) -> list[_TokenStream]:
+    """Every inverted field's token stream of one flattened batch: mapped
+    text, json paths, concatenate fields, list columns and (dynamic mode)
     unmapped string columns. A field whose column is absent yields no
     stream, or a KeyError under a strict mapping."""
     import pandas as pd
 
-    batch = _flatten_structs(batch)
-    out: list[TokenStream] = []
+    out: list[_TokenStream] = []
     for fm in _effective_text_fields(mapping, batch):
         if fm.sources:
             # Concatenate field: token streams of several source
@@ -368,13 +367,13 @@ def extract_token_streams(mapping, batch: pa.Table) -> list[TokenStream]:
         else:
             # scalar text column: dictionary-encoded Arrow-kernel
             # tokenization (no per-token Python strings on this path)
-            out.append(TokenStream(fm.name, *tokenize_batch_encoded(
+            out.append(_TokenStream(fm.name, *tokenize_batch_encoded(
                 batch[fm.name], fm.tokenizer)))
             continue
         # tokenizing branches: batch-local vocab via hash-based
         # factorize (beats sort-based np.unique here)
         codes, vocab = pd.factorize(tokens)
-        out.append(TokenStream(fm.name, doc_idx, codes, vocab, positions))
+        out.append(_TokenStream(fm.name, doc_idx, codes, vocab, positions))
     return out
 
 
@@ -433,21 +432,17 @@ class SplitBuilder:
 
     # ------------------------------------------------------------------
 
-    def add_batch(self, batch: pa.Table,
-                  streams: Optional[list[TokenStream]] = None) -> None:
+    def add_batch(self, batch: pa.Table) -> None:
         """Index one batch: extract its token streams, accumulate them,
-        store its docs. ``streams`` is `extract_token_streams` of this
-        same batch when the caller already ran it (the shuffle build)."""
+        store its docs."""
         n = batch.num_rows
         if n == 0:
             return
         batch = _flatten_structs(batch)
-        if streams is None:
-            streams = extract_token_streams(self.mapping, batch)
-        self._accumulate(streams, n)
+        self._accumulate(_extract_token_streams(self.mapping, batch), n)
         self._store_docs(batch)
 
-    def _accumulate(self, streams: list[TokenStream], n: int) -> None:
+    def _accumulate(self, streams: list[_TokenStream], n: int) -> None:
         """Append one batch's token streams (n rows) to the field
         accumulators, re-coding batch vocabularies to split term ids."""
         base = self.num_docs

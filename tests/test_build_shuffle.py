@@ -1,6 +1,6 @@
-"""Shuffle build: `SplitBuilder` writes its split from the shipped token
-streams, so the split is byte-identical to a direct build of the same
-file (one split per file both ways)."""
+"""The build behind the contract's `shuffle_build_search`: `build_index`
+run as Ray tasks writes splits byte-identical to an in-process build of
+the same file."""
 
 import json
 import os
@@ -24,8 +24,7 @@ from quickwit_ray.state.manifest import Manifest
 
 SF = "/root/testdata/sf0.001"
 DOCS = f"{SF}/documents.parquet"
-# thresholds above every input's row count: the direct build writes one
-# split per file, like the shuffle build
+# thresholds above every input's row count: one split per file
 ONE_SPLIT = IndexSettings(split_num_docs_target=10_000_000,
                           commit_docs_threshold=10_000_000)
 
@@ -57,9 +56,8 @@ def _dynamic_input(tmp) -> tuple[str, DocMapping]:
 
 @pytest.fixture(scope="module", params=["documents", "events", "dynamic"])
 def both_builds(request, tmp_path_factory, ray_session):
-    """(input kind, direct index dir, shuffle index dir) over one file."""
-    from quickwit_ray.index.build_shuffle import build_index_shuffle
-
+    """(input kind, in-process index dir, Ray-built index dir) over one
+    file."""
     tmp = tmp_path_factory.mktemp(f"shuf-{request.param}")
     if request.param == "documents":
         path, mapping = DOCS, documents_doc_mapping()
@@ -68,13 +66,14 @@ def both_builds(request, tmp_path_factory, ray_session):
     else:
         path, mapping = _dynamic_input(tmp)
     cfg = IndexConfig(request.param, mapping, ONE_SPLIT)
-    direct, shuffled = str(tmp / "direct"), str(tmp / "shuffled")
+    local, on_ray = str(tmp / "local"), str(tmp / "ray")
     # 128-row batches: several read batches per file
-    build_index(path, direct, cfg, execution="local", read_batch_size=128)
-    st = build_index_shuffle(path, shuffled, cfg, read_batch_size=128)
+    build_index(path, local, cfg, execution="local", read_batch_size=128)
+    st = build_index(path, on_ray, cfg, execution="ray",
+                     read_batch_size=128)
     assert st.num_docs == pq.ParquetFile(path).metadata.num_rows
     assert st.num_splits == 1
-    return request.param, direct, shuffled
+    return request.param, local, on_ray
 
 
 def _only_split(index_dir):
@@ -123,16 +122,14 @@ QUERIES = ["text:scan", "+text:scan +text:merge", "text:scan -text:merge",
 
 @pytest.fixture(scope="module")
 def documents_builds(tmp_path_factory, ray_session):
-    from quickwit_ray.index.build_shuffle import build_index_shuffle
-
     tmp = tmp_path_factory.mktemp("shufidx")
     cfg = IndexConfig("documents", documents_doc_mapping(),
                       IndexSettings(split_num_docs_target=10_000))
-    direct, shuffled = str(tmp / "direct"), str(tmp / "shuffled")
-    build_index(DOCS, direct, cfg, execution="local")
-    st = build_index_shuffle(DOCS, shuffled, cfg)
+    local, on_ray = str(tmp / "local"), str(tmp / "ray")
+    build_index(DOCS, local, cfg, execution="local")
+    st = build_index(DOCS, on_ray, cfg, execution="ray")
     assert st.num_docs == 500 and st.num_splits == 1
-    return direct, shuffled
+    return local, on_ray
 
 
 def test_counts_identical(documents_builds):
@@ -153,20 +150,17 @@ def test_bm25_scores_identical(documents_builds):
 
 
 def test_shuffle_resume_noop(documents_builds):
-    from quickwit_ray.index.build_shuffle import build_index_shuffle
-
     _, s = documents_builds
     cfg = IndexConfig("documents", documents_doc_mapping(),
                       IndexSettings(split_num_docs_target=10_000))
-    st = build_index_shuffle(DOCS, s, cfg)
+    st = build_index(DOCS, s, cfg, execution="ray")
     assert st.num_docs == 0  # checkpointed partition skipped
 
 
-def test_merge_keeps_field_caps_of_shuffled_split(tmp_path, ray_session):
-    """A merge over one direct and one shuffle-built split writes the
-    same field-caps metadata as a merge over two direct splits."""
+def test_merge_keeps_field_caps_of_ray_built_split(tmp_path, ray_session):
+    """A merge over one in-process and one Ray-built split writes the
+    same field-caps metadata as a merge over two in-process splits."""
     from quickwit_ray.config import MergePolicyConfig
-    from quickwit_ray.index.build_shuffle import build_index_shuffle
     from quickwit_ray.index.merge import run_merge_pipeline
 
     tbl = pq.read_table(DOCS)
@@ -178,13 +172,10 @@ def test_merge_keeps_field_caps_of_shuffled_split(tmp_path, ray_session):
         merge_policy=MergePolicyConfig(merge_factor=2, max_merge_factor=2,
                                        min_level_num_docs=1000)))
     merged_fields = []
-    for second_build in ("direct", "shuffle"):
+    for second_build in ("local", "ray"):
         d = str(tmp_path / second_build)
         build_index(halves[0], d, cfg, execution="local")
-        if second_build == "shuffle":
-            build_index_shuffle(halves[1], d, cfg)
-        else:
-            build_index(halves[1], d, cfg, execution="local")
+        build_index(halves[1], d, cfg, execution=second_build)
         assert run_merge_pipeline(d, execution="local") == 1
         sm, split_dir = _only_split(d)
         assert sm.num_docs == 500

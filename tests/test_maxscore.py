@@ -337,8 +337,9 @@ def test_or_flat_tf_block_bounds_prune(tmp_path):
 @pytest.fixture(scope="module", params=["builder", "shuffle", "merged"])
 def built_split_dirs(request, tmp_path_factory):
     """Split dirs of one pages corpus written by each postings writer:
-    the SplitBuilder (direct build), the groupby-term shuffle build, and
-    the streaming merge of the direct build's splits."""
+    the SplitBuilder (direct build, in-process and as the contract's
+    `shuffle_build_search` runs it, on Ray) and the streaming merge of the
+    direct build's splits."""
     import os
 
     from quickwit_ray.config import MergePolicyConfig
@@ -356,10 +357,8 @@ def built_split_dirs(request, tmp_path_factory):
                                         merge_factor=3, max_merge_factor=6,
                                         min_level_num_docs=1000)))
     if request.param == "shuffle":
-        from quickwit_ray.index.build_shuffle import build_index_shuffle
-
         request.getfixturevalue("ray_session")
-        build_index_shuffle(paths, d, cfg)
+        build_index(paths, d, cfg, execution="ray")
     else:
         build_index(paths, d, cfg, execution="local")
         if request.param == "merged":
