@@ -86,7 +86,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     # a leaf cache that keeps nothing stands in until the labeled
     # leaf-cache section below
     leaf_cache = _engine._GLOBAL_LEAF_CACHE
-    _engine._GLOBAL_LEAF_CACHE = _engine._LeafCache(capacity=0)
+    _engine._GLOBAL_LEAF_CACHE = _engine._LeafCache(byte_budget=0)
     from quickwit_ray.sources.fixtures import ensure_pages
 
     parts: dict[str, float] = {}

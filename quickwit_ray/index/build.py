@@ -80,8 +80,9 @@ def _route_partition(batch: pa.Table, key: str, cap: int) -> np.ndarray:
 def read_batches(config: IndexConfig, path: str,
                  read_batch_size: int) -> Iterator[pa.Table]:
     """A source file's batches as every build reads them. The read keeps
-    only the columns indexed, stored (and not excluded binaries), fast,
-    or needed for routing/timestamp/tags; every column in dynamic mode."""
+    only the columns indexed (any type), stored (and not excluded
+    binaries), fast, or needed for routing/timestamp/tags; every column
+    in dynamic mode."""
     mapping = config.doc_mapping
     pf = pq.ParquetFile(path)
     cols = list(pf.schema_arrow.names)
@@ -90,7 +91,7 @@ def read_batches(config: IndexConfig, path: str,
         needed = set()
         for f in mapping.field_mappings:
             stored = f.stored and (store_bin or f.type != "bytes")
-            if f.indexed and f.type == "text" or stored or f.fast or f.tag:
+            if f.indexed or stored or f.fast or f.tag:
                 needed.add(f.name)
             needed.update(f.sources)
         if mapping.timestamp_field:

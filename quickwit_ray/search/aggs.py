@@ -508,18 +508,34 @@ class _NegStr(str):
 AGG_MEMORY_LIMIT = 500 * 1024 * 1024  # aggregation_memory_limit default
 
 
-def merge_partial_aggs(aggs: dict, partials: list[dict]) -> dict:
-    # aggregation_memory_limit (node_config/mod.rs:269): the driver-side
-    # merge must reject, not OOM, when the collected partial states
-    # exceed the budget (each leaf already enforces the bucket limit)
-    from quickwit_ray.search.engine import _approx_nbytes
+def merge_partial_aggs(aggs: dict, partials: list[dict],
+                       nbytes: Optional[list[int]] = None) -> dict:
+    """Merge per-split agg partials into the final agg tree. Partials are
+    read only (the leaf cache shares them across requests), and the
+    result shares no mutable object with them.
 
-    total = sum(_approx_nbytes(p) for p in partials if p)
+    aggregation_memory_limit (node_config/mod.rs:269): the driver-side
+    merge must reject, not OOM, when the collected partial states exceed
+    the budget (each leaf already enforces the bucket limit). It is
+    checked once, here, over ``nbytes`` — the sizes the leaves recorded
+    when they built the partials — or over a fresh measurement when the
+    caller has none."""
+    if nbytes is None:
+        from quickwit_ray.search.engine import _approx_nbytes
+
+        nbytes = [_approx_nbytes(p) for p in partials if p]
+    total = sum(nbytes)
     if total > AGG_MEMORY_LIMIT:
         raise ValueError(
             f"aggregation intermediate results exceed the "
             f"{AGG_MEMORY_LIMIT >> 20} MB aggregation memory limit "
             f"({total >> 20} MB across {len(partials)} splits)")
+    return _merge_aggs(aggs, partials)
+
+
+def _merge_aggs(aggs: dict, partials: list[dict]) -> dict:
+    """The merge itself. Nested sub-agg merges recurse here, past the
+    memory check: their partials are parts of the top-level ones."""
     out: dict[str, Any] = {}
     for name, spec in aggs.items():
         kind = next(k for k in spec if k != "aggs")
@@ -592,9 +608,13 @@ def merge_partial_aggs(aggs: dict, partials: list[dict]) -> dict:
 
             all_hits.sort(key=srt_key)
             total = sum(int(s["total"]) for s in states)
+            # copies: the partials' hit dicts stay out of the response
             out[name] = {"hits": {
                 "total": {"value": total, "relation": "eq"},
-                "hits": all_hits[:size]}}
+                "hits": [{"sort": list(h["sort"]),
+                          "fields": {f: list(v)
+                                     for f, v in h["fields"].items()}}
+                         for h in all_hits[:size]]}}
         elif kind == "terms":
             merged: dict[str, dict] = {}
             for s in states:
@@ -636,7 +656,7 @@ def merge_partial_aggs(aggs: dict, partials: list[dict]) -> dict:
                         pass
                 eb = {"key": k, "doc_count": b["doc_count"]}
                 if sub and b["partials"]:
-                    eb.update(merge_partial_aggs(sub, b["partials"]))
+                    eb.update(_merge_aggs(sub, b["partials"]))
                 buckets.append(eb)
             # ES response extras: sum_other = matched docs not in the shown
             # buckets (per-split `total` is pre-truncation, so this stays
@@ -709,7 +729,7 @@ def merge_partial_aggs(aggs: dict, partials: list[dict]) -> dict:
                     continue
                 eb = {"key": key, "doc_count": b["doc_count"]}
                 if sub and b["partials"]:
-                    eb.update(merge_partial_aggs(sub, b["partials"]))
+                    eb.update(_merge_aggs(sub, b["partials"]))
                 buckets.append(eb)
             if body.get("keyed", False):
                 # keyed=true: hashmap keyed by the bucket key
@@ -730,7 +750,7 @@ def merge_partial_aggs(aggs: dict, partials: list[dict]) -> dict:
                 eb = {"key": key, "from": b["from"], "to": b["to"],
                       "doc_count": b["doc_count"]}
                 if sub and b["partials"]:
-                    eb.update(merge_partial_aggs(sub, b["partials"]))
+                    eb.update(_merge_aggs(sub, b["partials"]))
                 buckets.append(eb)
             if body.get("keyed", False):
                 out[name] = {"buckets": {b["key"]: b for b in buckets}}

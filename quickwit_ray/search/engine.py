@@ -170,31 +170,40 @@ _GLOBAL_READER_CACHE = _ReaderCache()
 class _LeafCache:
     """Thread-safe LRU of leaf-search partial results keyed by
     (split artifacts generation, request) — leaf_cache.rs
-    LeafSearchCache analog.
+    LeafSearchCache analog, bound by bytes alone like the reference's
+    (64 MB, node_config/mod.rs:266 partial_request_cache_capacity). An
+    entry's size counts its key as well as its value: keys carry the
+    request repr and the doc mapping, so a byte budget that skipped them
+    would not bound the cache.
 
-    Entries are ``{"t": theta_pruned_under, "v": partial}`` and serve a
-    lookup only when the REQUESTED theta dominates the stored one
-    (requested >= stored, theta-None = fully exact, serves anything): a
-    theta-pruned partial encodes an assumption about the OTHER splits of
-    that execution (docs below theta were skipped because splits
-    elsewhere already beat them) — if the split set later shrinks
-    (retention, mark-for-deletion), the same request derives SMALLER
-    thetas, fails the dominance test, and re-evaluates instead of
-    reusing partials pruned against deleted competition. One key per
-    (split, request) means timing-wobbly theta values never fragment
-    the repeat-query hit rate. The artifact stamp (_split_stamp)
-    catches split dirs rebuilt in place by clear()+re-ingest."""
+    Entries are shared, not copied: a hit hands out the stored partial
+    itself (callers take a shallow ``dict`` of it), and the leaf seals
+    every numpy array in it read-only before storing, so an in-place
+    write downstream raises instead of corrupting later hits.
 
-    def __init__(self, capacity: int = 512,
-                 byte_budget: int = 64 * 1024 * 1024):
+    Leaf entries are ``{"t": theta_pruned_under, "v": partial}`` and
+    serve a lookup only when the REQUESTED theta dominates the stored
+    one (requested >= stored, theta-None = fully exact, serves
+    anything): a theta-pruned partial encodes an assumption about the
+    OTHER splits of that execution (docs below theta were skipped
+    because splits elsewhere already beat them) — if the split set later
+    shrinks (retention, mark-for-deletion), the same request derives
+    SMALLER thetas, fails the dominance test, and re-evaluates instead
+    of reusing partials pruned against deleted competition. A rejected
+    entry counts as a miss. One key per (split, request) means
+    timing-wobbly theta values never fragment the repeat-query hit rate.
+    The artifact stamp (_split_stamp) catches split dirs rebuilt in
+    place by clear()+re-ingest; ``drop_unlisted`` forgets the entries of
+    splits a new manifest generation no longer publishes."""
+
+    def __init__(self, byte_budget: int = 64 * 1024 * 1024):
         import threading
 
-        self.capacity = capacity
-        # the reference's LeafSearchCache is byte-bound at 64 MB
-        # (node_config/mod.rs:266 partial_request_cache_capacity): one
-        # giant agg partial must not hold entry-count-many budgets
         self.byte_budget = int(byte_budget)
         self._cache: OrderedDict[tuple, tuple[dict, int]] = OrderedDict()
+        # split dir (key[0]) -> its keys: drop_unlisted visits only the
+        # entries it drops, not the whole cache
+        self._keys_of: dict[str, set] = {}
         self._bytes = 0
         self._lock = threading.Lock()
         self.hits = 0
@@ -204,22 +213,36 @@ class _LeafCache:
     def retained_bytes(self) -> int:
         return self._bytes
 
-    def get(self, key: tuple) -> Optional[dict]:
+    def _pop_locked(self, key: tuple) -> None:
+        self._bytes -= self._cache.pop(key)[1]
+        keys = self._keys_of[key[0]]
+        keys.discard(key)
+        if not keys:
+            del self._keys_of[key[0]]
+
+    def get(self, key: tuple, accept=None) -> Optional[dict]:
+        """The entry under ``key``, or None. ``accept(entry)`` — checked
+        under the lock — may still reject it; a rejected lookup counts
+        as a miss, like an absent one."""
         with self._lock:
             ent = self._cache.get(key)
-            if ent is None:
+            if ent is None or (accept is not None and not accept(ent[0])):
                 self.misses += 1
                 return None
             self._cache.move_to_end(key)
             self.hits += 1
             return ent[0]
 
-    def put(self, key: tuple, val: dict, keep_old_if=None) -> None:
-        """Insert/replace. ``keep_old_if(old_val)`` — checked UNDER the
-        lock — skips the write when the existing entry should win (the
-        dominance store uses it so a theta-pruned entry can never clobber
-        a concurrently stored exact one)."""
-        size = _approx_nbytes(val)
+    def put(self, key: tuple, val: dict, nbytes: Optional[int] = None,
+            keep_old_if=None) -> None:
+        """Insert/replace. ``nbytes`` is the value's size when the caller
+        has measured it already (else it is measured here); the key's
+        size is added either way. ``keep_old_if(old_val)`` — checked
+        UNDER the lock — skips the write when the existing entry should
+        win (the dominance store uses it so a theta-pruned entry can
+        never clobber a concurrently stored exact one)."""
+        size = _approx_nbytes(key) + (
+            _approx_nbytes(val) if nbytes is None else nbytes)
         if size > self.byte_budget:
             return  # larger than the whole cache: never stored
         with self._lock:
@@ -227,37 +250,51 @@ class _LeafCache:
                 ent = self._cache.get(key)
                 if ent is not None and keep_old_if(ent[0]):
                     return
-            old = self._cache.pop(key, None)
-            if old is not None:
-                self._bytes -= old[1]
+            if key in self._cache:
+                self._pop_locked(key)
             self._cache[key] = (val, size)
+            self._keys_of.setdefault(key[0], set()).add(key)
             self._bytes += size
-            while self._cache and (len(self._cache) > self.capacity
-                                   or self._bytes > self.byte_budget):
-                _, (_, sz) = self._cache.popitem(last=False)
-                self._bytes -= sz
+            while self._bytes > self.byte_budget:
+                self._pop_locked(next(iter(self._cache)))
+
+    def drop_unlisted(self, splits_dir: str, keep: set) -> None:
+        """Drop the entries of splits under ``splits_dir`` that are not
+        in ``keep`` (keys start with the split dir): merged-away splits
+        are never searched again, so their entries would only hold
+        budget until the LRU reaches them."""
+        with self._lock:
+            for d in [d for d in self._keys_of
+                      if os.path.dirname(d) == splits_dir and d not in keep]:
+                for k in list(self._keys_of[d]):
+                    self._pop_locked(k)
 
     def clear(self) -> None:
         with self._lock:
             self._cache.clear()
+            self._keys_of.clear()
             self._bytes = 0
 
 
-def _approx_nbytes(obj) -> int:
+def _approx_nbytes(obj, seal: bool = False) -> int:
     """Recursive retained-size estimate for cached leaf partials (numpy
     arrays dominate; containers add per-slot overhead). Over-estimating
-    is safe (earlier eviction), under-estimating is not."""
+    is safe (earlier eviction), under-estimating is not. ``seal=True``
+    also marks every numpy array it meets read-only (the one walk of a
+    partial the leaf cache keeps)."""
     if isinstance(obj, np.ndarray):
+        if seal:
+            obj.flags.writeable = False
         return obj.nbytes + 96
     if isinstance(obj, (bytes, bytearray)):
         return len(obj) + 48
     if isinstance(obj, str):
         return len(obj) + 56
     if isinstance(obj, dict):
-        return 64 + sum(_approx_nbytes(k) + _approx_nbytes(v)
+        return 64 + sum(_approx_nbytes(k, seal) + _approx_nbytes(v, seal)
                         for k, v in obj.items())
     if isinstance(obj, (list, tuple, set, frozenset)):
-        return 56 + sum(_approx_nbytes(v) + 8 for v in obj)
+        return 56 + sum(_approx_nbytes(v, seal) + 8 for v in obj)
     return 32  # numbers, None, bools, small scalars
 
 
@@ -324,8 +361,8 @@ def get_searcher(index_dir: str, execution: Optional[str] = None) -> "IndexSearc
     process-global + mapping-agnostic, so leaf actors (and their
     split-affine reader caches) survive split publishes and searcher
     rebuilds by construction. Building a new generation's searcher also
-    drops the cached readers of this index's splits it no longer
-    publishes."""
+    drops the cached readers and leaf entries of this index's splits it
+    no longer publishes."""
     if execution is None:
         execution = _DEFAULT_EXECUTION
     stamp = manifest_generation(index_dir)
@@ -338,12 +375,14 @@ def get_searcher(index_dir: str, execution: Optional[str] = None) -> "IndexSearc
             _SEARCHER_CACHE.move_to_end(key)
             return ent[1]
     s = IndexSearcher(index_dir, execution=execution)
-    # merged-away or deleted splits' readers would otherwise hold their
-    # blocks and file handles until the LRU reaches them
+    # merged-away or deleted splits' readers and leaf entries would
+    # otherwise hold their blocks, file handles and cache budget until
+    # the LRUs reach them
     splits_dir = os.path.join(index_dir, "splits")
-    _GLOBAL_READER_CACHE.drop_unlisted(
-        splits_dir, {os.path.join(splits_dir, sp.split_id)
-                     for sp in s.manifest.published_splits()})
+    keep = {os.path.join(splits_dir, sp.split_id)
+            for sp in s.manifest.published_splits()}
+    _GLOBAL_READER_CACHE.drop_unlisted(splits_dir, keep)
+    _GLOBAL_LEAF_CACHE.drop_unlisted(splits_dir, keep)
     with _SEARCHER_CACHE_LOCK:
         ent = _SEARCHER_CACHE.get(key)
         if ent is not None and ent[0] == stamp:  # lost the build race
@@ -372,9 +411,8 @@ def leaf_search_one(split_dir: str, mapping: DocMapping, request: SearchRequest,
     the theta it was pruned under and serves any request whose theta
     DOMINATES it (requested >= stored) — a partial pruned at t contains
     every doc scoring >= t, which is a superset of what any threshold
-    >= t needs (see _LeafCache)."""
-    import copy
-
+    >= t needs (see _LeafCache). Hits and stored entries share one
+    read-only partial: the caller gets a shallow ``dict`` of it."""
     # the artifact stamp guards the rebuilt-split-dir staleness case (see
     # _LeafCache). Callers iterating many splits pass request_key
     # (repr(request), str(mapping)) computed ONCE per query instead of
@@ -382,20 +420,15 @@ def leaf_search_one(split_dir: str, mapping: DocMapping, request: SearchRequest,
     if request_key is None:
         request_key = (repr(request), str(mapping))
     key = (split_dir, _split_stamp(split_dir)) + request_key
-    ent = _GLOBAL_LEAF_CACHE.get(key)
+    # dominance rule: theta-None entries are fully exact; a pruned entry
+    # serves only thresholds >= its own. A shrunken split set (retention,
+    # deletes) derives SMALLER thetas, so partials pruned against deleted
+    # competition fail this test and re-evaluate, while repeat queries
+    # with timing-wobbly thetas still hit.
+    ent = _GLOBAL_LEAF_CACHE.get(key, accept=lambda old: old["t"] is None or (
+        theta0 is not None and theta0 >= old["t"]))
     if ent is not None:
-        t_stored = ent["t"]
-        # dominance rule: theta-None entries are fully exact; a pruned
-        # entry serves only thresholds >= its own. A shrunken split set
-        # (retention, deletes) derives SMALLER thetas, so partials pruned
-        # against deleted competition fail this test and re-evaluate,
-        # while repeat queries with timing-wobbly thetas still hit.
-        if t_stored is None or (theta0 is not None and theta0 >= t_stored):
-            hit = ent["v"]
-            if "agg_partial" in hit:
-                # deep copy: the agg merge folds partials in place
-                return copy.deepcopy(hit)
-            return dict(hit)  # hit/sort arrays consumed read-only
+        return dict(ent["v"])
     # memory-budgeted admission (search_permit_provider.rs): reserve a
     # pessimistic warmup allocation before touching the split, report the
     # reader's actual materialized bytes after, release on completion.
@@ -413,13 +446,17 @@ def leaf_search_one(split_dir: str, mapping: DocMapping, request: SearchRequest,
             # post-warmup correction: hold the MEASURED bytes (cache-warm
             # repeats free their pessimistic reservation immediately)
             permit.set_actual_memory(b1 - b0)
+    # the agg partial was sealed and measured where it was built
+    # (agg_nbytes); the rest is a few hit arrays
+    nbytes = 64 + out.get("agg_nbytes", 0) + sum(
+        _approx_nbytes(k) + _approx_nbytes(v, seal=True)
+        for k, v in out.items() if k != "agg_partial")
     # store under the single (split, request) key, tagged with the theta
     # this evaluation was pruned under. keep_old_if runs UNDER the cache
     # lock: a concurrent thread's MORE complete entry (smaller / None
     # theta) always survives — a pruned result can never clobber it.
     _GLOBAL_LEAF_CACHE.put(
-        key, {"t": theta0, "v": copy.deepcopy(out)
-              if "agg_partial" in out else dict(out)},
+        key, {"t": theta0, "v": dict(out)}, nbytes=nbytes,
         keep_old_if=lambda old: old["t"] is None or (
             theta0 is not None and old["t"] <= theta0))
     return out
@@ -529,6 +566,9 @@ def _collect_partial(searcher: SplitSearcher, split_dir: str,
         from quickwit_ray.search.aggs import compute_partial_aggs
 
         out["agg_partial"] = compute_partial_aggs(request.aggs, searcher, mask)
+        # measured once, here: the leaf cache's byte accounting and the
+        # root's aggregation memory limit both reuse this size
+        out["agg_nbytes"] = _approx_nbytes(out["agg_partial"], seal=True)
     return out
 
 
@@ -844,7 +884,8 @@ class IndexSearcher:
             from quickwit_ray.search.aggs import merge_partial_aggs
 
             agg_partials = [p["agg_partial"] for p in partials]
-            merged_aggs = merge_partial_aggs(aggs, agg_partials)
+            merged_aggs = merge_partial_aggs(
+                aggs, agg_partials, [p["agg_nbytes"] for p in partials])
         if len(hits) and (fetch_fields is None or fetch_fields):
             hits = self._fetch_docs(hits, fetch_fields, request)
         return SearchResponse(num_hits=num_hits, hits=hits, aggs=merged_aggs,

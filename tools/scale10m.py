@@ -168,7 +168,7 @@ def main() -> int:
 
     # ---- warm query latency on the mature split -----------------------
     # a leaf cache that keeps nothing: every query times a cold leaf
-    _engine._GLOBAL_LEAF_CACHE = _engine._LeafCache(capacity=0)
+    _engine._GLOBAL_LEAF_CACHE = _engine._LeafCache(byte_budget=0)
     s = IndexSearcher(index_dir)
     qset = (
         [f"text:{chr(97 + k)}aterm{k}" for k in range(0, 10)]
